@@ -5,7 +5,7 @@ Submodules
 nn         minimal dense/convolutional network substrate with manual gradients
 models     the two band-selector networks (spectral and spectral-spatial)
 training   mini-batch Adam training loop producing a band ranking
-selection  band-weight averaging, top-k selection, result serialization
+selection  top-k band ranking, result serialization
 cube       hyperspectral cube container, file I/O, scaling, sampling
 synthetic  synthetic cubes with planted informative bands
 metrics    per-band entropy, symmetric KL divergence, mean spectral divergence

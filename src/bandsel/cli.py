@@ -58,6 +58,14 @@ def _write_sidecar(path, payload):
         fh.write("\n")
 
 
+def _load_ranking(path, bands):
+    """Ranking of a selection result file; DataError unless it permutes the cube's bands."""
+    ranking = SelectionResult.load_json(path).ranking
+    if sorted(ranking) != list(range(bands)):
+        raise DataError(f"ranking in {path} is not a permutation of the cube's {bands} band indices")
+    return ranking
+
+
 def cmd_synth(args):
     if args.rows < 1 or args.cols < 1 or args.bands < 1:
         raise ConfigError(f"cube dimensions must be positive, got {args.rows}x{args.cols}x{args.bands}")
@@ -102,7 +110,7 @@ def cmd_train(args):
 def cmd_metrics(args):
     cube = load_cube(args.input)
     if args.ranking is not None:
-        ranking = SelectionResult.load_json(args.ranking).ranking
+        ranking = _load_ranking(args.ranking, cube.bands)
         source = os.path.basename(args.ranking)
     else:
         ranking = variance_rank(cube, cube.bands).ranking
@@ -134,7 +142,7 @@ def cmd_eval(args):
         if "=" not in item:
             raise ConfigError(f"--selection expects name=path, got {item!r}")
         name, path = item.split("=", 1)
-        selectors[name] = SelectionResult.load_json(path).ranking
+        selectors[name] = _load_ranking(path, cube.bands)
     if args.variance_baseline:
         selectors["variance"] = variance_rank(cube, cube.bands).ranking
     if not selectors and not args.include_random:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from bandsel.errors import ConfigError, DimensionError
-from bandsel.nn import Conv2DLayer, DenseLayer, Flatten, GlobalAveragePool, LayerStack
+from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack
 
 
 def reweight(batch, weights):
@@ -43,7 +43,7 @@ def reweight(batch, weights):
 def reconstruction_loss(x, x_hat, weights, l1_coeff):
     """Batch-mean squared-error plus L1 penalty on the band weights.
 
-    Returns (1 / 2S) * sum_i ||x_i - x_hat_i||^2 + l1_coeff * (1 / S) * sum_i ||w_i||_1
+    Returns (0.5 * sum_i ||x_hat_i - x_i||^2 + l1_coeff * sum_i ||w_i||_1) / S
     over a batch of S samples.
     """
     if l1_coeff < 0:
@@ -52,14 +52,17 @@ def reconstruction_loss(x, x_hat, weights, l1_coeff):
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise DimensionError(f"reconstruction shape {x_hat.shape} does not match input {x.shape}")
-    n = x.shape[0]
-    mse = 0.5 * np.sum((x - x_hat) ** 2) / n
-    l1 = np.sum(np.abs(weights)) / n
-    return mse + l1_coeff * l1
+    return (0.5 * np.sum((x_hat - x) ** 2) + l1_coeff * np.sum(np.abs(weights))) / x.shape[0]
 
 
 class _BandSelector:
-    """Shared forward/backward plumbing for both selector variants."""
+    """Shared forward/backward plumbing for both selector variants.
+
+    Every parameter of both branches lives in one flat float64 vector
+    ``params`` and every gradient in the matching ``grads``; ``slices`` maps
+    names such as ``rec.layer3.weights`` to their slice of both vectors. The
+    layers' parameter and ``grad_*`` attributes are views into those vectors.
+    """
 
     kind = ""
 
@@ -70,6 +73,20 @@ class _BandSelector:
         last = bam.layers[-1]
         if getattr(last, "activation", None) != "sigmoid" or getattr(last, "out_dim", None) != self.bands:
             raise ConfigError("attention branch must end in a sigmoid layer of width = band count")
+        owners = {f"{branch}.layer{i}.{field}": (layer, field)
+                  for branch, stack in (("bam", bam), ("rec", rec))
+                  for i, layer in enumerate(stack.layers)
+                  for field in layer.param_fields}
+        self.params = np.concatenate([getattr(layer, field).ravel() for layer, field in owners.values()])
+        self.grads = np.zeros_like(self.params)
+        self.slices = {}
+        start = 0
+        for name, (layer, field) in owners.items():
+            value = getattr(layer, field)
+            span = self.slices[name] = slice(start, start + value.size)
+            setattr(layer, field, self.params[span].reshape(value.shape))
+            setattr(layer, f"grad_{field}", self.grads[span].reshape(value.shape))
+            start = span.stop
 
     def band_weights(self, batch):
         """Per-sample band weights in (0, 1): one sigmoid-gated vector per sample."""
@@ -89,15 +106,14 @@ class _BandSelector:
     def backprop(self, batch, l1_coeff):
         """Forward plus backward pass of the full training objective.
 
-        Assigns gradients on every layer and returns
+        Writes every parameter gradient into ``grads`` and returns
         (loss, per-sample weights, gradient with respect to the batch).
         """
         batch = self._check_batch(batch)
         weights, x_hat = self.forward(batch)
         n = batch.shape[0]
-        resid = x_hat - batch
-        loss = (0.5 * np.sum(resid ** 2) + l1_coeff * np.sum(np.abs(weights))) / n
-        d_xhat = resid / n
+        loss = reconstruction_loss(batch, x_hat, weights, l1_coeff)
+        d_xhat = (x_hat - batch) / n
         d_z = self.rec.backward(d_xhat)
         # z = x * w: route the product-rule gradients to both factors.
         if batch.ndim == 4:
@@ -115,15 +131,6 @@ class _BandSelector:
     def loss(self, batch, l1_coeff):
         weights, x_hat = self.forward(batch)
         return reconstruction_loss(batch, x_hat, weights, l1_coeff)
-
-    def parameters(self):
-        return self.bam.parameters() + self.rec.parameters()
-
-    def gradients(self):
-        return self.bam.gradients() + self.rec.gradients()
-
-    def parameter_names(self):
-        return self.bam.parameter_names("bam.") + self.rec.parameter_names("rec.")
 
     def _check_batch(self, batch):
         batch = np.asarray(batch, dtype=np.float64)
@@ -183,7 +190,6 @@ class BandSelectorConv(_BandSelector):
         bam = LayerStack([
             Conv2DLayer(bands, bam_conv_channels, 3, activation="relu", rng=rng),
             GlobalAveragePool(),
-            Flatten(),
             DenseLayer(bam_conv_channels, bam_hidden, "relu", rng=rng),
             DenseLayer(bam_hidden, bands, "sigmoid", rng=rng),
         ])

@@ -4,7 +4,6 @@ from bandsel.nn.layers import (
     ACTIVATIONS,
     Conv2DLayer,
     DenseLayer,
-    Flatten,
     GlobalAveragePool,
     LayerStack,
     glorot_uniform,
@@ -17,7 +16,6 @@ __all__ = [
     "AdamState",
     "Conv2DLayer",
     "DenseLayer",
-    "Flatten",
     "GlobalAveragePool",
     "LayerStack",
     "adam_step",

@@ -1,10 +1,13 @@
 """Dense, convolutional and pooling layers with hand-written gradients.
 
-Arrays are the tensor carrier throughout: C-ordered float64 ndarrays whose
-shape metadata plus flat row-major data store activations, parameters and
-gradients. Layers cache whatever the backward pass needs during forward;
-``backward`` consumes the cache, assigns parameter gradients and returns the
-gradient with respect to the layer input.
+Arrays are the tensor carrier throughout: C-ordered float64 ndarrays.
+Each layer with parameters names them in the class tuple ``param_fields``;
+every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
+layer belongs to a model, both are views into the model's flat ``params`` and
+``grads`` vectors, so the layer must never rebind them. Layers cache whatever
+the backward pass needs during forward; ``backward`` consumes the cache,
+writes the parameter gradients in place into the ``grad_*`` views and returns
+the gradient with respect to the layer input.
 
 Spatial convolutions use zero-padded "same" geometry: a forward convolution
 with stride ``s`` maps height ``h`` to ``ceil(h / s)``; the transposed
@@ -64,6 +67,8 @@ def _activation_backward(activation, grad, pre, out):
 class DenseLayer:
     """Fully connected layer: activation(x @ weights + bias)."""
 
+    param_fields = ("weights", "bias")
+
     def __init__(self, in_dim, out_dim, activation="relu", *, rng=None):
         _check_activation(activation)
         if in_dim < 1 or out_dim < 1:
@@ -95,18 +100,9 @@ class DenseLayer:
         if self._x is None:
             raise StateError("backward called before forward on dense layer")
         d_pre = _activation_backward(self.activation, grad, self._pre, self._out)
-        self.grad_weights = self._x.T @ d_pre
-        self.grad_bias = d_pre.sum(axis=0)
+        self.grad_weights[...] = self._x.T @ d_pre
+        self.grad_bias[...] = d_pre.sum(axis=0)
         return d_pre @ self.weights.T
-
-    def parameters(self):
-        return [self.weights, self.bias]
-
-    def gradients(self):
-        return [self.grad_weights, self.grad_bias]
-
-    def parameter_names(self):
-        return ["weights", "bias"]
 
 
 def _same_pad(size, kernel, stride):
@@ -173,6 +169,8 @@ class Conv2DLayer:
     up-samples by the stride instead of down-sampling.
     """
 
+    param_fields = ("kernels", "bias")
+
     def __init__(self, in_channels, out_channels, kernel_size, *, stride=1,
                  activation="relu", transposed=False, rng=None):
         _check_activation(activation)
@@ -218,30 +216,23 @@ class Conv2DLayer:
         if self._x is None:
             raise StateError("backward called before forward on conv layer")
         d_pre = _activation_backward(self.activation, grad, self._pre, self._out)
-        self.grad_bias = d_pre.sum(axis=(0, 1, 2))
+        self.grad_bias[...] = d_pre.sum(axis=(0, 1, 2))
         if self.transposed:
             swapped_shape = (self.kernels.shape[0], self.kernels.shape[1],
                              self.out_channels, self.in_channels)
-            self.grad_kernels = _conv2d_kernel_grad(
+            self.grad_kernels[...] = _conv2d_kernel_grad(
                 d_pre, self._x, self.stride, swapped_shape
             ).transpose(0, 1, 3, 2)
             swapped = self.kernels.transpose(0, 1, 3, 2)
             return _conv2d_raw(d_pre, swapped, self.stride)
-        self.grad_kernels = _conv2d_kernel_grad(self._x, d_pre, self.stride, self.kernels.shape)
+        self.grad_kernels[...] = _conv2d_kernel_grad(self._x, d_pre, self.stride, self.kernels.shape)
         return _conv2d_input_grad(d_pre, self.kernels, self.stride, self._x.shape[1:3])
-
-    def parameters(self):
-        return [self.kernels, self.bias]
-
-    def gradients(self):
-        return [self.grad_kernels, self.grad_bias]
-
-    def parameter_names(self):
-        return ["kernels", "bias"]
 
 
 class GlobalAveragePool:
-    """Average over the spatial extent: [B,H,W,C] -> [B,1,1,C]."""
+    """Average over the spatial extent: [B,H,W,C] -> [B,C]."""
+
+    param_fields = ()
 
     def __init__(self):
         self._shape = None
@@ -251,48 +242,13 @@ class GlobalAveragePool:
         if x.ndim != 4 or x.shape[1] < 1 or x.shape[2] < 1:
             raise DimensionError(f"global pool expects [batch, h, w, c] with h, w >= 1, got {tuple(x.shape)}")
         self._shape = x.shape
-        return x.mean(axis=(1, 2), keepdims=True)
+        return x.mean(axis=(1, 2))
 
     def backward(self, grad):
         if self._shape is None:
             raise StateError("backward called before forward on global pool")
         scale = self._shape[1] * self._shape[2]
-        return np.broadcast_to(grad / scale, self._shape).copy()
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def parameter_names(self):
-        return []
-
-
-class Flatten:
-    """Collapse every non-batch axis: [B,...] -> [B,prod(...)]."""
-
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        if self._shape is None:
-            raise StateError("backward called before forward on flatten")
-        return grad.reshape(self._shape)
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def parameter_names(self):
-        return []
+        return np.broadcast_to((grad / scale)[:, None, None, :], self._shape).copy()
 
 
 class LayerStack:
@@ -310,16 +266,3 @@ class LayerStack:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.gradients()]
-
-    def parameter_names(self, prefix=""):
-        names = []
-        for i, layer in enumerate(self.layers):
-            for field in layer.parameter_names():
-                names.append(f"{prefix}layer{i}.{field}")
-        return names

@@ -1,4 +1,4 @@
-"""Adam optimizer with bias correction."""
+"""Adam optimizer with bias correction over one flat parameter vector."""
 
 from __future__ import annotations
 
@@ -8,45 +8,42 @@ from bandsel.errors import ConfigError, DimensionError, NumericError
 
 
 class AdamState:
-    """Per-parameter first/second moment estimates plus the step counter."""
+    """First/second moment vectors shaped like the parameters, plus the step counter."""
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
         self.step_count = 0
 
 
 def adam_step(params, grads, state, learning_rate, names=None):
-    """One in-place Adam update over a flat parameter list.
+    """One in-place Adam update of a flat parameter vector.
 
     Moments decay with beta1/beta2, are bias-corrected by the step count,
-    and each parameter moves by -lr * m_hat / (sqrt(v_hat) + eps).
+    and every entry moves by -lr * m_hat / (sqrt(v_hat) + eps). ``names``
+    optionally maps parameter names to slices of the vector; it labels the
+    error raised for a non-finite gradient.
     """
     if learning_rate <= 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise DimensionError(
-            f"parameter/gradient/state counts differ: {len(params)}, {len(grads)}, {len(state.first_moment)}"
+            f"parameter/gradient/state shapes differ: {params.shape}, {grads.shape}, {state.first_moment.shape}"
         )
-    if names is None:
-        names = [f"param{i}" for i in range(len(params))]
-    for name, p, g in zip(names, params, grads):
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient shape {g.shape} does not match parameter {name} {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        name = next((n for n, s in (names or {}).items() if s.start <= index < s.stop), f"entry {index}")
+        raise NumericError(f"non-finite gradient for parameter {name}")
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= learning_rate * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
     state.step_count = t
-    return params, state

@@ -1,4 +1,4 @@
-"""Band-weight averaging, top-k ranking, and result serialization."""
+"""Top-k band ranking and result serialization."""
 
 from __future__ import annotations
 
@@ -7,28 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bandsel.errors import ConfigError, DimensionError
-
-
-@dataclass
-class BandWeights:
-    """Per-sample sigmoid band weights [S, b] and their per-band mean [b]."""
-
-    per_sample: np.ndarray
-    averaged: np.ndarray
-
-    @classmethod
-    def from_per_sample(cls, per_sample):
-        per_sample = np.asarray(per_sample, dtype=np.float64)
-        return cls(per_sample=per_sample, averaged=average_band_weights(per_sample))
-
-
-def average_band_weights(per_sample):
-    """Mean weight per band over all samples: [S, b] -> [b]."""
-    per_sample = np.asarray(per_sample, dtype=np.float64)
-    if per_sample.ndim != 2 or per_sample.shape[0] < 1:
-        raise DimensionError(f"expected non-empty [S, b] weights, got shape {tuple(per_sample.shape)}")
-    return per_sample.mean(axis=0)
+from bandsel.errors import ConfigError, DimensionError, FormatError
 
 
 @dataclass
@@ -63,14 +42,29 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(
-            ranking=list(payload["ranking"]),
-            top_k=list(payload["top_k"]),
-            averaged_weights=np.asarray(payload["averaged_weights"], dtype=np.float64),
-            loss_trace=list(payload["loss_trace"]),
-            config=dict(payload.get("config", {})),
-        )
+        """Parse a result written by :meth:`to_json`; FormatError if malformed."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"selection result is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise FormatError("selection result must be a JSON object")
+        missing = [key for key in ("ranking", "top_k", "averaged_weights", "loss_trace") if key not in payload]
+        if missing:
+            raise FormatError(f"selection result lacks field(s) {', '.join(missing)}")
+        for key in ("ranking", "top_k"):
+            if not isinstance(payload[key], list) or not all(type(v) is int for v in payload[key]):
+                raise FormatError(f"selection result field {key!r} must be a list of integers")
+        try:
+            return cls(
+                ranking=list(payload["ranking"]),
+                top_k=list(payload["top_k"]),
+                averaged_weights=np.asarray(payload["averaged_weights"], dtype=np.float64),
+                loss_trace=list(payload["loss_trace"]),
+                config=dict(payload.get("config", {})),
+            )
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed selection result: {exc}") from exc
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -80,7 +74,11 @@ class SelectionResult:
     @classmethod
     def load_json(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"selection result {path} is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
     def weights_history_csv(self):
         """Epoch-by-band CSV of averaged weights (header: epoch,band_0,...)."""

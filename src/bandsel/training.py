@@ -85,8 +85,7 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
 
     rng = np.random.default_rng(cfg.seed)
     model = build_selector(variant, bands, rng=rng, **(model_kwargs or {}))
-    state = AdamState(model.parameters())
-    names = model.parameter_names()
+    state = AdamState(model.params)
 
     n = samples.shape[0]
     loss_trace = []
@@ -104,7 +103,7 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             try:
-                adam_step(model.parameters(), model.gradients(), state, cfg.learning_rate, names=names)
+                adam_step(model.params, model.grads, state, cfg.learning_rate, names=model.slices)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}") from exc
             epoch_loss += loss * batch.shape[0]

@@ -66,15 +66,15 @@ def selection_runs():
 
 def model_gradient_check(model, batch, l1=1e-2, step=1e-4, tol=1e-4):
     model.backprop(batch, l1)
-    grads = [g.copy() for g in model.gradients()]
+    grads = model.grads.copy()
 
     def scalar():
         return model.loss(batch, l1)
 
     worst = 0.0
-    for param, grad in zip(model.parameters(), grads):
-        fd = finite_difference(scalar, param, step)
-        worst = max(worst, float(relative_error(grad, fd).max()))
+    for span in model.slices.values():
+        fd = finite_difference(scalar, model.params[span], step)
+        worst = max(worst, float(relative_error(grads[span], fd).max()))
     assert worst < tol, f"worst relative gradient error {worst:.3e}"
     return worst
 

@@ -10,56 +10,58 @@ from oracles import scalar_adam_oracle
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    params = np.array([1.0, -2.0, 3.0])
     state = AdamState(params)
-    before = [p.copy() for p in params]
-    adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, 0.1)
-    for p, b in zip(params, before):
-        np.testing.assert_array_equal(p, b)
+    before = params.copy()
+    adam_step(params, np.zeros(3), state, 0.1)
+    np.testing.assert_array_equal(params, before)
     assert state.step_count == 1
 
 
 def test_constant_gradient_moves_against_its_sign():
-    params = [np.array([0.0, 0.0])]
+    params = np.array([0.0, 0.0])
     grad = np.array([2.5, -0.3])
     state = AdamState(params)
     for _ in range(50):
-        adam_step(params, [grad.copy()], state, 0.01)
-    assert params[0][0] < 0 and params[0][1] > 0
+        adam_step(params, grad.copy(), state, 0.01)
+    assert params[0] < 0 and params[1] > 0
     assert state.step_count == 50
 
 
 def test_quadratic_descent_matches_scalar_oracle():
     # L(theta) = theta^2 from theta = 1 with lr 0.1 for 10 steps.
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = AdamState(params)
     history = []
     for _ in range(10):
-        grad = 2.0 * params[0]
-        adam_step(params, [grad], state, 0.1)
-        history.append(float(params[0][0]))
+        grad = 2.0 * params
+        adam_step(params, grad, state, 0.1)
+        history.append(float(params[0]))
     expected = scalar_adam_oracle(1.0, lambda th: 2.0 * th, 0.1, 10)
     np.testing.assert_allclose(history, expected, atol=1e-10)
     assert abs(history[-1]) < 1.0
 
 
 def test_nonfinite_gradient_names_parameter():
-    params = [np.zeros(2), np.zeros(3)]
+    params = np.zeros(5)
     state = AdamState(params)
-    bad = [np.zeros(2), np.array([0.0, np.nan, 0.0])]
+    bad = np.array([0.0, 0.0, 0.0, np.nan, np.inf])
+    names = {"first": slice(0, 2), "second": slice(2, 5)}
     with pytest.raises(NumericError, match="second"):
-        adam_step(params, bad, state, 0.1, names=["first", "second"])
+        adam_step(params, bad, state, 0.1, names=names)
+    np.testing.assert_array_equal(params, np.zeros(5))
+    assert state.step_count == 0
 
 
 def test_invalid_learning_rate_rejected():
-    params = [np.zeros(2)]
+    params = np.zeros(2)
     state = AdamState(params)
     with pytest.raises(ConfigError):
-        adam_step(params, [np.zeros(2)], state, 0.0)
+        adam_step(params, np.zeros(2), state, 0.0)
 
 
 def test_shape_mismatch_rejected():
-    params = [np.zeros(2)]
+    params = np.zeros(2)
     state = AdamState(params)
     with pytest.raises(DimensionError):
-        adam_step(params, [np.zeros(3)], state, 0.1)
+        adam_step(params, np.zeros(3), state, 0.1)

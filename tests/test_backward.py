@@ -20,9 +20,11 @@ def stack_param_check(stack, x, upstream_seed=0, step=1e-5, tol=1e-6):
 
     stack.forward(x)
     input_grad = stack.backward(weights)
-    for param, grad in zip(stack.parameters(), [g.copy() for g in stack.gradients()]):
-        fd = finite_difference(scalar, param, step)
-        assert relative_error(grad, fd).max() < tol
+    for layer in stack.layers:
+        for field in layer.param_fields:
+            grad = getattr(layer, f"grad_{field}").copy()
+            fd = finite_difference(scalar, getattr(layer, field), step)
+            assert relative_error(grad, fd).max() < tol
     fd_in = finite_difference(scalar, x, step)
     assert relative_error(input_grad, fd_in).max() < tol
 
@@ -92,14 +94,14 @@ class TestFullModelGradients:
         model = BandSelectorFC(7, bam_hidden=(5, 6), rec_hidden=(4, 5, 6), rng=rng)
         x = rng.random((3, 7))
         model.backprop(x, 1e-2)
-        grads = [g.copy() for g in model.gradients()]
+        grads = model.grads.copy()
 
         def scalar():
             return model.loss(x, 1e-2)
 
-        for param, grad in zip(model.parameters(), grads):
-            fd = finite_difference(scalar, param, 1e-5)
-            assert relative_error(grad, fd).max() < 5e-5
+        for span in model.slices.values():
+            fd = finite_difference(scalar, model.params[span], 1e-5)
+            assert relative_error(grads[span], fd).max() < 5e-5
 
     def test_conv_model_all_parameters(self):
         rng = np.random.default_rng(11)
@@ -107,14 +109,14 @@ class TestFullModelGradients:
                                  rec_channels=(4, 3, 3, 4), rng=rng)
         x = rng.random((2, 4, 4, 4))
         model.backprop(x, 1e-2)
-        grads = [g.copy() for g in model.gradients()]
+        grads = model.grads.copy()
 
         def scalar():
             return model.loss(x, 1e-2)
 
-        for param, grad in zip(model.parameters(), grads):
-            fd = finite_difference(scalar, param, 1e-5)
-            assert relative_error(grad, fd).max() < 1e-4
+        for span in model.slices.values():
+            fd = finite_difference(scalar, model.params[span], 1e-5)
+            assert relative_error(grads[span], fd).max() < 1e-4
 
     def test_input_gradient_includes_target_term(self):
         rng = np.random.default_rng(12)

@@ -204,3 +204,31 @@ class TestEval:
                      "--out-prefix", str(tmp_path / "e")])
         assert code == 2
         capsys.readouterr()
+
+
+BAD_RANKINGS = {
+    "longer_than_cube": json.dumps({"ranking": list(range(12)), "top_k": [0, 1],
+                                    "averaged_weights": [0.5] * 12, "loss_trace": [1.0]}).encode(),
+    "repeated_band": json.dumps({"ranking": [0, 0, 1], "top_k": [0, 0],
+                                 "averaged_weights": [0.5] * 3, "loss_trace": [1.0]}).encode(),
+    "missing_top_k": json.dumps({"ranking": list(range(8)),
+                                 "averaged_weights": [0.5] * 8, "loss_trace": [1.0]}).encode(),
+    "not_utf8": b"\xff\xfe{",
+}
+
+
+@pytest.mark.parametrize("command", ["metrics", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_RANKINGS))
+def test_bad_ranking_file_exits_3_without_traceback(tmp_path, capsys, case, command):
+    cube = make_cube(tmp_path)
+    ranking_path = tmp_path / "bad.json"
+    ranking_path.write_bytes(BAD_RANKINGS[case])
+    if command == "metrics":
+        argv = ["metrics", "--input", str(cube), "--ranking", str(ranking_path), "--k", "2"]
+    else:
+        argv = ["eval", "--input", str(cube), "--selection", f"bad={ranking_path}", "--k", "2", "--runs", "1"]
+    code = main([*argv, "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))

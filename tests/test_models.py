@@ -8,8 +8,9 @@ from bandsel.models import BandSelectorConv, BandSelectorFC, build_selector, rec
 
 
 def zero_out(stack):
-    for param in stack.parameters():
-        param[...] = 0.0
+    for layer in stack.layers:
+        for field in layer.param_fields:
+            getattr(layer, field)[...] = 0.0
 
 
 class TestAttentionBranch:
@@ -143,6 +144,24 @@ class TestLoss:
         with_pen = reconstruction_loss(x, x_hat, w, lam)
         without = reconstruction_loss(x, x_hat, w, 0.0)
         np.testing.assert_allclose(with_pen, without + lam * np.abs(w).sum() / x.shape[0], rtol=1e-12)
+
+
+def test_flat_buffer_slices_follow_layer_order():
+    rng = np.random.default_rng(0)
+    model = BandSelectorConv(4, bam_conv_channels=3, bam_hidden=5, rec_channels=(4, 3, 3, 4), rng=rng)
+    names = list(model.slices)
+    assert names[:6] == [
+        "bam.layer0.kernels", "bam.layer0.bias", "bam.layer2.weights", "bam.layer2.bias",
+        "bam.layer3.weights", "bam.layer3.bias",
+    ]
+    assert names[6:] == [f"rec.layer{i}.{f}" for i in range(5) for f in ("kernels", "bias")]
+    spans = list(model.slices.values())
+    assert spans[0].start == 0 and spans[-1].stop == model.params.size == model.grads.size
+    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+    layer = model.rec.layers[3]
+    layer.kernels[0, 0, 0, 0] = 7.5
+    assert model.params[model.slices["rec.layer3.kernels"]][0] == 7.5
+    assert np.shares_memory(layer.grad_kernels, model.grads)
 
 
 def test_build_selector_dispatch():

@@ -3,35 +3,42 @@
 import numpy as np
 import pytest
 
-from bandsel.errors import ConfigError, DimensionError
-from bandsel.selection import BandWeights, SelectionResult, average_band_weights, select_top_k
+from bandsel.errors import ConfigError, FormatError
+from bandsel.models import BandSelectorFC
+from bandsel.selection import SelectionResult, select_top_k
+from bandsel.training import _full_averaged_weights
 
 from oracles import column_mean_oracle, topk_oracle
 
 
+class _SamplesAsWeights:
+    """Stand-in selector whose band weights are the samples themselves."""
+
+    def __init__(self, bands):
+        self.bands = bands
+
+    def band_weights(self, batch):
+        return batch
+
+
 class TestAveraging:
+    """The chunked full-pass mean that ``train`` ranks bands by."""
+
     def test_single_sample_is_its_own_average(self):
         w = np.array([[0.2, 0.9, 0.4]])
-        np.testing.assert_array_equal(average_band_weights(w), w[0])
+        np.testing.assert_array_equal(_full_averaged_weights(_SamplesAsWeights(3), w), w[0])
 
     def test_two_sample_hand_case(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(average_band_weights(w), [0.5, 0.5])
+        np.testing.assert_array_equal(_full_averaged_weights(_SamplesAsWeights(2), w), [0.5, 0.5])
 
     def test_matches_column_mean_oracle(self):
+        # 2500 samples span three 1024-sample chunks, the last one ragged.
         rng = np.random.default_rng(0)
-        w = rng.random((100, 20))
-        np.testing.assert_allclose(average_band_weights(w), column_mean_oracle(w), rtol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            average_band_weights(np.zeros((0, 4)))
-
-    def test_band_weights_wrapper(self):
-        rng = np.random.default_rng(1)
-        per_sample = rng.random((6, 5))
-        bw = BandWeights.from_per_sample(per_sample)
-        np.testing.assert_array_equal(bw.averaged, per_sample.mean(axis=0))
+        model = BandSelectorFC(20, bam_hidden=(8,), rec_hidden=(8,), rng=rng)
+        samples = rng.random((2500, 20))
+        expected = column_mean_oracle(model.band_weights(samples))
+        np.testing.assert_allclose(_full_averaged_weights(model, samples), expected, rtol=1e-12)
 
 
 class TestTopK:
@@ -109,3 +116,15 @@ class TestSerialization:
     def test_loss_trace_csv(self):
         lines = self.make_result().loss_trace_csv().strip().split("\n")
         assert lines == ["epoch,loss", "1,1.5", "2,0.25"]
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[0, 1]",
+        '{"top_k": [0], "averaged_weights": [0.5], "loss_trace": []}',
+        '{"ranking": [0.0], "top_k": [0], "averaged_weights": [0.5], "loss_trace": []}',
+        '{"ranking": [0], "top_k": [true], "averaged_weights": [0.5], "loss_trace": []}',
+        '{"ranking": [0], "top_k": [0], "averaged_weights": ["x"], "loss_trace": []}',
+    ])
+    def test_malformed_json_is_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            SelectionResult.from_json(text)

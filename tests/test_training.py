@@ -66,8 +66,7 @@ class TestTrainLoop:
             models.append(model)
         assert results[0].loss_trace == results[1].loss_trace
         np.testing.assert_array_equal(results[0].averaged_weights, results[1].averaged_weights)
-        for a, b in zip(models[0].parameters(), models[1].parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(models[0].params, models[1].params)
 
     def test_l1_shrinks_mean_weight_versus_unregularized(self):
         samples = small_samples(seed=4)
