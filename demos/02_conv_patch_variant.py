@@ -4,8 +4,8 @@ Spectral-spatial selection with the convolutional variant
 
 The convolutional selector consumes sliding-window patches instead of
 single spectra: its attention branch pools spatial context before gating
-the bands, and its reconstruction branch is a conv encoder / transposed
-conv decoder that restores the full patch.
+the bands, and its reconstruction branch is a stride-1 conv encoder /
+decoder that restores the full patch.
 """
 
 from bandsel.cube import extract_patches, scale_unit

@@ -1,9 +1,10 @@
 """Command-line pipeline: synthesize cubes, train selectors, compute metrics, run sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 data or file format error,
-4 numeric failure during optimization. Every output file is reproducible
-from its flags and seed, and is accompanied by an embedded config snapshot
-or a ``.meta.json`` sidecar describing how it was produced.
+Exit codes: 0 success, 2 configuration error, 3 data or file format error
+(and any other package error), 4 numeric failure during optimization. Every
+output file is reproducible from its flags and seed, and is accompanied by an
+embedded config snapshot or a ``.meta.json`` sidecar describing how it was
+produced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from bandsel.cube import extract_patches, extract_pixels, load_cube, save_cube, scale_unit
-from bandsel.errors import ConfigError, DataError, FormatError, NumericError
+from bandsel.errors import BandselError, ConfigError, DataError, NumericError
 from bandsel.evaluate import sweep, sweep_aggregate_csv, sweep_rows_csv
 from bandsel.metrics import entropy_table_csv, msd_sweep_csv, variance_rank
 from bandsel.selection import SelectionResult
@@ -232,12 +233,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (BandselError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -92,6 +92,10 @@ def save_cube(cube, path):
             fh.write(np.ascontiguousarray(cube.ground_truth, dtype="<u4").tobytes())
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_cube(path):
     """Read a cube file, validating magic, header, and payload sizes."""
     with open(path, "rb") as fh:
@@ -108,22 +112,35 @@ def load_cube(path):
         header = json.loads(data[offset : offset + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unparseable header at offset {offset}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"header at offset {offset} is not a JSON object")
     offset += hlen
     try:
-        rows, cols, bands = int(header["rows"]), int(header["cols"]), int(header["bands"])
+        rows, cols, bands = header["rows"], header["cols"], header["bands"]
         dtype = header["dtype"]
         has_gt = bool(header["has_gt"])
     except KeyError as exc:
         raise FormatError(f"header missing field {exc}") from exc
+    if not all(_is_int(v) for v in (rows, cols, bands)):
+        raise FormatError(f"cube dimensions must be integers, got {rows!r}x{cols!r}x{bands!r} in header")
     if dtype != "f32":
         raise FormatError(f"unsupported dtype {dtype!r}")
     if rows < 1 or cols < 1 or bands < 1:
         raise FormatError(f"non-positive cube dimensions {rows}x{cols}x{bands} in header")
+    labels = header.get("band_labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == bands
+                                   and all(_is_int(v) for v in labels)):
+        raise FormatError(f"band_labels in header must be a list of {bands} integers")
     n_values = rows * cols * bands
     if len(data) < offset + 4 * n_values:
         raise FormatError(f"truncated value payload at offset {offset}: need {4 * n_values} bytes")
     values = np.frombuffer(data, dtype="<f4", count=n_values, offset=offset)
     values = values.astype(np.float64).reshape(rows, cols, bands)
+    # Finite float32 values cannot overflow a float64 sum, so the sum is
+    # finite exactly when every value is.
+    if not np.isfinite(values.sum()):
+        r, c, b = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        raise DataError(f"non-finite value at pixel ({r},{c}) band {b}")
     offset += 4 * n_values
     gt = None
     if has_gt:
@@ -133,7 +150,6 @@ def load_cube(path):
         offset += 4 * rows * cols
     if len(data) != offset:
         raise FormatError(f"{len(data) - offset} trailing bytes at offset {offset}")
-    labels = header.get("band_labels")
     return HsiCube(values, band_labels=labels, ground_truth=gt)
 
 

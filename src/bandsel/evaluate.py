@@ -21,7 +21,6 @@ class SplitSpec:
     """Stratified train/test split parameters."""
 
     train_fraction: float = 0.05
-    per_class: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -32,10 +31,10 @@ class SplitSpec:
 def split(cube, spec):
     """Split labeled pixels into disjoint (train, test) flat pixel indices.
 
-    With ``per_class`` the split is stratified: every class keeps at least
-    one training pixel (and at least one test pixel when it has two or
-    more). Empty class ids below the maximum label are skipped with a
-    warning. Deterministic for a fixed seed.
+    The split is stratified: every class keeps at least one training
+    pixel (and at least one test pixel when it has two or more). Empty
+    class ids below the maximum label are skipped with a warning.
+    Deterministic for a fixed seed.
     """
     if cube.ground_truth is None:
         raise ConfigError("cube has no ground truth; cannot split")
@@ -51,20 +50,12 @@ def split(cube, spec):
     rng = np.random.default_rng(spec.seed)
     train_parts = []
     test_parts = []
-    if spec.per_class:
-        for class_id in present:
-            idx = np.flatnonzero(labels == class_id)
-            idx = idx[rng.permutation(idx.size)]
-            n_train = max(1, int(round(spec.train_fraction * idx.size)))
-            if idx.size >= 2:
-                n_train = min(n_train, idx.size - 1)
-            train_parts.append(idx[:n_train])
-            test_parts.append(idx[n_train:])
-    else:
-        idx = np.flatnonzero(labels > 0)
+    for class_id in present:
+        idx = np.flatnonzero(labels == class_id)
         idx = idx[rng.permutation(idx.size)]
         n_train = max(1, int(round(spec.train_fraction * idx.size)))
-        n_train = min(n_train, idx.size - 1)
+        if idx.size >= 2:
+            n_train = min(n_train, idx.size - 1)
         train_parts.append(idx[:n_train])
         test_parts.append(idx[n_train:])
     train_idx = np.sort(np.concatenate(train_parts))

@@ -107,26 +107,20 @@ class _BandSelector:
         """Forward plus backward pass of the full training objective.
 
         Writes every parameter gradient into ``grads`` and returns
-        (loss, per-sample weights, gradient with respect to the batch).
+        (loss, per-sample weights).
         """
         batch = self._check_batch(batch)
         weights, x_hat = self.forward(batch)
         n = batch.shape[0]
         loss = reconstruction_loss(batch, x_hat, weights, l1_coeff)
-        d_xhat = (x_hat - batch) / n
-        d_z = self.rec.backward(d_xhat)
-        # z = x * w: route the product-rule gradients to both factors.
+        d_z = self.rec.backward((x_hat - batch) / n)
+        # z = x * w: only the weight factor leads back to parameters.
         if batch.ndim == 4:
             d_weights = np.sum(d_z * batch, axis=(1, 2))
-            d_x_direct = d_z * weights[:, None, None, :]
         else:
             d_weights = d_z * batch
-            d_x_direct = d_z * weights
-        d_weights = d_weights + l1_coeff * np.sign(weights) / n
-        d_x_bam = self.bam.backward(d_weights)
-        # The batch is also the regression target, so its gradient carries
-        # the -residual term alongside the two network paths.
-        return loss, weights, d_x_direct + d_x_bam - d_xhat
+        self.bam.backward(d_weights + l1_coeff * np.sign(weights) / n)
+        return loss, weights
 
     def loss(self, batch, l1_coeff):
         weights, x_hat = self.forward(batch)
@@ -177,9 +171,9 @@ class BandSelectorConv(_BandSelector):
     """Spectral-spatial selector over patches [S, a, a, bands].
 
     Attention: 3x3 conv, global average pool, two dense layers ending in a
-    sigmoid of width = band count. Reconstruction: conv encoder, transposed
-    conv decoder, 1x1 sigmoid head; stride 1 everywhere so patch shape is
-    preserved end to end.
+    sigmoid of width = band count. Reconstruction: two 3x3 conv encoder
+    layers, two 3x3 conv decoder layers, 1x1 sigmoid head; every conv is
+    stride 1 with "same" padding, so patch shape is preserved end to end.
     """
 
     kind = "conv"
@@ -197,8 +191,8 @@ class BandSelectorConv(_BandSelector):
         rec = LayerStack([
             Conv2DLayer(bands, c1, 3, activation="relu", rng=rng),
             Conv2DLayer(c1, c2, 3, activation="relu", rng=rng),
-            Conv2DLayer(c2, c3, 3, activation="relu", transposed=True, rng=rng),
-            Conv2DLayer(c3, c4, 3, activation="relu", transposed=True, rng=rng),
+            Conv2DLayer(c2, c3, 3, activation="relu", rng=rng),
+            Conv2DLayer(c3, c4, 3, activation="relu", rng=rng),
             Conv2DLayer(c4, bands, 1, activation="sigmoid", rng=rng),
         ])
         super().__init__(bands, bam, rec)

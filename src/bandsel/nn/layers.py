@@ -9,11 +9,11 @@ the backward pass needs during forward; ``backward`` consumes the cache,
 writes the parameter gradients in place into the ``grad_*`` views and returns
 the gradient with respect to the layer input.
 
-Spatial convolutions use zero-padded "same" geometry: a forward convolution
-with stride ``s`` maps height ``h`` to ``ceil(h / s)``; the transposed
-variant inverts that mapping (``h`` to ``h * s``). A transposed layer whose
-kernels equal the channel-swapped kernels of a forward layer computes that
-layer's exact adjoint.
+Spatial convolutions are stride 1 with zero-padded "same" geometry: an odd
+``k x k`` kernel is padded by ``k // 2`` on every side, so height and width
+pass through unchanged. The adjoint of that correlation in its input is the
+same correlation with spatially flipped, channel-swapped kernels, so one
+routine serves the forward pass and the input gradient.
 """
 
 from __future__ import annotations
@@ -105,89 +105,55 @@ class DenseLayer:
         return d_pre @ self.weights.T
 
 
-def _same_pad(size, kernel, stride):
-    """Output size and (leading, trailing) zero padding for 'same' geometry."""
-    out = -(-size // stride)
-    total = max((out - 1) * stride + kernel - size, 0)
-    lead = total // 2
-    return out, lead, total - lead
-
-
-def _conv2d_raw(x, kernels, stride):
-    """Cross-correlation with zero 'same' padding.
-
-    x [B,H,W,Cin] with kernels [kh,kw,Cin,Cout] -> [B,ceil(H/s),ceil(W/s),Cout].
-    """
+def _correlate(x, kernels):
+    """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout]."""
     batch, h, w, _ = x.shape
-    kh, kw, _, cout = kernels.shape
-    oh, ph0, ph1 = _same_pad(h, kh, stride)
-    ow, pw0, pw1 = _same_pad(w, kw, stride)
-    xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-    out = np.zeros((batch, oh, ow, cout))
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride, :]
-            out += np.tensordot(xs, kernels[u, v], axes=([3], [0]))
+    k = kernels.shape[0]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    out = np.zeros((batch, h, w, kernels.shape[3]))
+    for u in range(k):
+        for v in range(k):
+            out += np.tensordot(xp[:, u : u + h, v : v + w, :], kernels[u, v], axes=([3], [0]))
     return out
 
 
-def _conv2d_input_grad(grad, kernels, stride, in_spatial):
-    """Adjoint of :func:`_conv2d_raw` in its input: scatter grad back to [B,H,W,Cin]."""
-    h, w = in_spatial
-    kh, kw, cin, _ = kernels.shape
-    oh, ph0, ph1 = _same_pad(h, kh, stride)
-    ow, pw0, pw1 = _same_pad(w, kw, stride)
-    gx = np.zeros((grad.shape[0], h + ph0 + ph1, w + pw0 + pw1, cin))
-    for u in range(kh):
-        for v in range(kw):
-            gx[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride, :] += (
-                np.tensordot(grad, kernels[u, v], axes=([3], [1]))
-            )
-    return gx[:, ph0 : ph0 + h, pw0 : pw0 + w, :]
-
-
-def _conv2d_kernel_grad(x, grad, stride, kernel_shape):
-    """Gradient of the 'same' cross-correlation with respect to its kernels."""
-    kh, kw, _, _ = kernel_shape
+def _kernel_grad(x, grad, kernel_shape):
+    """Gradient of ``sum(_correlate(x, kernels) * grad)`` with respect to the kernels."""
     _, h, w, _ = x.shape
-    oh, ph0, ph1 = _same_pad(h, kh, stride)
-    ow, pw0, pw1 = _same_pad(w, kw, stride)
-    xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
+    k = kernel_shape[0]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     dk = np.zeros(kernel_shape)
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride, :]
-            dk[u, v] = np.tensordot(xs, grad, axes=([0, 1, 2], [0, 1, 2]))
+    for u in range(k):
+        for v in range(k):
+            dk[u, v] = np.tensordot(xp[:, u : u + h, v : v + w, :], grad, axes=([0, 1, 2], [0, 1, 2]))
     return dk
 
 
 class Conv2DLayer:
-    """2-D convolution (or its transposed counterpart) over [B,H,W,C] inputs.
+    """Stride-1 'same' 2-D convolution over [B,H,W,C] inputs.
 
-    Kernels are stored [kh, kw, in_channels, out_channels] regardless of
-    direction. ``transposed=True`` applies the adjoint spatial mapping and
-    up-samples by the stride instead of down-sampling.
+    ``kernel_size`` is one odd side ``k``; kernels are stored
+    [k, k, in_channels, out_channels] and the output keeps the input's
+    height and width. The input gradient is the forward correlation with
+    spatially flipped, channel-swapped kernels.
     """
 
     param_fields = ("kernels", "bias")
 
-    def __init__(self, in_channels, out_channels, kernel_size, *, stride=1,
-                 activation="relu", transposed=False, rng=None):
+    def __init__(self, in_channels, out_channels, kernel_size, *, activation="relu", rng=None):
         _check_activation(activation)
-        kh, kw = (kernel_size, kernel_size) if np.isscalar(kernel_size) else kernel_size
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ConfigError(f"kernel sides must be odd for same padding, got {kh}x{kw}")
-        if stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {stride}")
+        if kernel_size < 1 or kernel_size % 2 == 0:
+            raise ConfigError(f"kernel size must be a positive odd integer for same padding, got {kernel_size}")
         rng = np.random.default_rng() if rng is None else rng
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.stride = int(stride)
         self.activation = activation
-        self.transposed = bool(transposed)
-        fan_in = kh * kw * in_channels
-        fan_out = kh * kw * out_channels
-        self.kernels = glorot_uniform(rng, (kh, kw, in_channels, out_channels), fan_in, fan_out)
+        k = int(kernel_size)
+        fan_in = k * k * in_channels
+        fan_out = k * k * out_channels
+        self.kernels = glorot_uniform(rng, (k, k, in_channels, out_channels), fan_in, fan_out)
         self.bias = glorot_uniform(rng, (out_channels,), fan_in, fan_out)
         self.grad_kernels = np.zeros_like(self.kernels)
         self.grad_bias = np.zeros_like(self.bias)
@@ -202,13 +168,7 @@ class Conv2DLayer:
                 f"conv layer expects input [batch, h, w, {self.in_channels}], got shape {tuple(x.shape)}"
             )
         self._x = x
-        if self.transposed:
-            swapped = self.kernels.transpose(0, 1, 3, 2)
-            h, w = x.shape[1] * self.stride, x.shape[2] * self.stride
-            lin = _conv2d_input_grad(x, swapped, self.stride, (h, w))
-        else:
-            lin = _conv2d_raw(x, self.kernels, self.stride)
-        self._pre = lin + self.bias
+        self._pre = _correlate(x, self.kernels) + self.bias
         self._out = _apply_activation(self.activation, self._pre)
         return self._out
 
@@ -217,16 +177,8 @@ class Conv2DLayer:
             raise StateError("backward called before forward on conv layer")
         d_pre = _activation_backward(self.activation, grad, self._pre, self._out)
         self.grad_bias[...] = d_pre.sum(axis=(0, 1, 2))
-        if self.transposed:
-            swapped_shape = (self.kernels.shape[0], self.kernels.shape[1],
-                             self.out_channels, self.in_channels)
-            self.grad_kernels[...] = _conv2d_kernel_grad(
-                d_pre, self._x, self.stride, swapped_shape
-            ).transpose(0, 1, 3, 2)
-            swapped = self.kernels.transpose(0, 1, 3, 2)
-            return _conv2d_raw(d_pre, swapped, self.stride)
-        self.grad_kernels[...] = _conv2d_kernel_grad(self._x, d_pre, self.stride, self.kernels.shape)
-        return _conv2d_input_grad(d_pre, self.kernels, self.stride, self._x.shape[1:3])
+        self.grad_kernels[...] = _kernel_grad(self._x, d_pre, self.kernels.shape)
+        return _correlate(d_pre, self.kernels[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 class GlobalAveragePool:

@@ -99,7 +99,7 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch = samples[order[start : start + batch_size]]
-            loss, _, _ = model.backprop(batch, cfg.l1_coeff)
+            loss, _ = model.backprop(batch, cfg.l1_coeff)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             try:

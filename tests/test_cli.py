@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from bandsel.cli import main, parse_k_range
-from bandsel.cube import load_cube
+from bandsel.cube import MAGIC, load_cube
 from bandsel.metrics import msd
 from bandsel.selection import SelectionResult
 
@@ -228,6 +229,34 @@ def test_bad_ranking_file_exits_3_without_traceback(tmp_path, capsys, case, comm
     else:
         argv = ["eval", "--input", str(cube), "--selection", f"bad={ranking_path}", "--k", "2", "--runs", "1"]
     code = main([*argv, "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def cube_file_bytes(header, values):
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + np.asarray(values, dtype="<f4").tobytes()
+
+
+HEADER = {"rows": 2, "cols": 3, "bands": 4, "dtype": "f32", "has_gt": False}
+PAYLOAD = np.linspace(0.0, 1.0, 24)
+BAD_CUBES = {
+    "rows_not_a_number": cube_file_bytes({**HEADER, "rows": "abc"}, PAYLOAD),
+    "rows_null": cube_file_bytes({**HEADER, "rows": None}, PAYLOAD),
+    "header_is_a_list": cube_file_bytes([2, 3, 4], PAYLOAD),
+    "band_labels_a_string": cube_file_bytes({**HEADER, "band_labels": "ab"}, PAYLOAD),
+    "band_labels_wrong_length": cube_file_bytes({**HEADER, "band_labels": [0, 1, 2]}, PAYLOAD),
+    "all_nan_payload": cube_file_bytes(HEADER, np.full(24, np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CUBES))
+def test_malformed_cube_exits_3_without_traceback(tmp_path, capsys, case):
+    cube_path = tmp_path / "bad.hsic"
+    cube_path.write_bytes(BAD_CUBES[case])
+    code = main(["metrics", "--input", str(cube_path), "--k", "2", "--out-prefix", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
