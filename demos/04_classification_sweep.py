@@ -10,7 +10,7 @@ cube whose class structure lives in the planted bands.
 """
 
 from bandsel.cube import extract_pixels, scale_unit
-from bandsel.evaluate import sweep, sweep_aggregate_csv
+from bandsel.evaluate import sweep
 from bandsel.metrics import variance_rank
 from bandsel.synthetic import SynthSpec, synth_generate
 from bandsel.training import TrainConfig, train
@@ -38,6 +38,3 @@ rows, aggregated = sweep(
 print("\nmean +- std over 5 runs:")
 for name, k, oa_m, oa_s, aa_m, aa_s, kp_m, kp_s in aggregated:
     print(f"  {name:10s} k={k}: OA {oa_m:.3f}+-{oa_s:.3f}  AA {aa_m:.3f}+-{aa_s:.3f}  kappa {kp_m:.3f}+-{kp_s:.3f}")
-
-print("\nCSV head:")
-print("\n".join(sweep_aggregate_csv(aggregated, 5).split("\n")[:4]))

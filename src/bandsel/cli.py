@@ -26,8 +26,8 @@ import numpy as np
 
 from bandsel.cube import extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import BandselError, ConfigError, DataError, NumericError
-from bandsel.evaluate import sweep, sweep_aggregate_csv, sweep_rows_csv
-from bandsel.metrics import entropy_table_csv, msd_sweep_csv, variance_rank
+from bandsel.evaluate import sweep
+from bandsel.metrics import entropy_table, msd_sweep, variance_rank
 from bandsel.selection import SelectionResult
 from bandsel.synthetic import SynthSpec, synth_generate
 from bandsel.training import TrainConfig, train
@@ -51,6 +51,15 @@ def parse_k_range(text):
     if step < 1 or start < 1 or end < start:
         raise ConfigError(f"invalid k range {text!r}; need 1 <= start <= end and step >= 1")
     return list(range(start, end + 1, step))
+
+
+def _write_csv(path, header, rows):
+    """Write a header line, then one comma-joined line per row; floats as ``repr``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
 
 
 def _write_sidecar(path, payload):
@@ -101,15 +110,17 @@ def cmd_train(args):
     _, result = train(samples, args.variant, cfg, k=k)
     result.config["input"] = os.path.basename(args.input)
     result.save_json(args.out_prefix + ".json")
-    result.save_loss_trace_csv(args.out_prefix + "_loss.csv")
-    result.save_weights_history_csv(args.out_prefix + "_weights.csv")
+    _write_csv(args.out_prefix + "_loss.csv", "epoch,loss", enumerate(result.loss_trace, 1))
+    _write_csv(args.out_prefix + "_weights.csv",
+               "epoch," + ",".join(f"band_{j}" for j in range(cube.bands)),
+               ((epoch, *row) for epoch, row in enumerate(result.weights_history, 1)))
     print(f"trained {args.variant} selector on {len(samples)} samples; "
           f"top-{k} bands: {result.top_k[:min(k, 10)]}")
     return 0
 
 
 def cmd_metrics(args):
-    cube = load_cube(args.input)
+    cube = scale_unit(load_cube(args.input))
     if args.ranking is not None:
         ranking = _load_ranking(args.ranking, cube.bands)
         source = os.path.basename(args.ranking)
@@ -122,10 +133,8 @@ def cmd_metrics(args):
         k_values = parse_k_range(args.k)
     entropy_path = args.out_prefix + "_entropy.csv"
     msd_path = args.out_prefix + "_msd.csv"
-    with open(entropy_path, "w", encoding="utf-8") as fh:
-        fh.write(entropy_table_csv(cube, args.n_bins))
-    with open(msd_path, "w", encoding="utf-8") as fh:
-        fh.write(msd_sweep_csv(cube, ranking, k_values, args.n_bins))
+    _write_csv(entropy_path, "band_index,original_label,entropy", entropy_table(cube, args.n_bins))
+    _write_csv(msd_path, "k,msd", msd_sweep(cube, ranking, k_values, args.n_bins))
     _write_sidecar(args.out_prefix + "_metrics.meta.json", {
         "command": "metrics", "input": os.path.basename(args.input),
         "n_bins": args.n_bins, "ranking": source, "k": k_values,
@@ -154,10 +163,9 @@ def cmd_eval(args):
                              base_seed=args.seed, include_random=args.include_random)
     runs_path = args.out_prefix + "_runs.csv"
     summary_path = args.out_prefix + "_summary.csv"
-    with open(runs_path, "w", encoding="utf-8") as fh:
-        fh.write(sweep_rows_csv(rows))
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(sweep_aggregate_csv(aggregated, args.runs))
+    _write_csv(runs_path, "selector,k,run_seed,oa,aa,kappa", rows)
+    _write_csv(summary_path, "selector,k,runs,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std",
+               ((name, k, args.runs, *stats) for name, k, *stats in aggregated))
     _write_sidecar(args.out_prefix + "_eval.meta.json", {
         "command": "eval", "input": os.path.basename(args.input),
         "selectors": sorted(selectors), "include_random": args.include_random,

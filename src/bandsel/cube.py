@@ -72,9 +72,6 @@ class HsiCube:
     def bands(self):
         return self.values.shape[2]
 
-    def with_ground_truth(self, labels):
-        return HsiCube(self.values, band_labels=self.band_labels, ground_truth=labels)
-
 
 def save_cube(cube, path):
     """Write a cube in the container format described in the module docstring."""

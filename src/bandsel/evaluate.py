@@ -204,17 +204,3 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
             aggregated.append((name, k, float(mean[0]), float(std[0]),
                                float(mean[1]), float(std[1]), float(mean[2]), float(std[2])))
     return rows, aggregated
-
-
-def sweep_rows_csv(rows):
-    lines = ["selector,k,run_seed,oa,aa,kappa"]
-    for name, k, seed, oa, aa, kappa in rows:
-        lines.append(f"{name},{k},{seed},{oa!r},{aa!r},{kappa!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_aggregate_csv(aggregated, runs):
-    lines = ["selector,k,runs,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std"]
-    for name, k, oa_m, oa_s, aa_m, aa_s, kp_m, kp_s in aggregated:
-        lines.append(f"{name},{k},{runs},{oa_m!r},{oa_s!r},{aa_m!r},{aa_s!r},{kp_m!r},{kp_s!r}")
-    return "\n".join(lines) + "\n"

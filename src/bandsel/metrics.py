@@ -116,13 +116,6 @@ def entropy_table(cube, n_bins=256):
     return rows
 
 
-def entropy_table_csv(cube, n_bins=256):
-    lines = ["band_index,original_label,entropy"]
-    for idx, label, value in entropy_table(cube, n_bins):
-        lines.append(f"{idx},{label},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
 def msd_sweep(cube, ranking, k_values, n_bins=256):
     """Rows of (k, msd of the top-k prefix of ranking) for each requested k."""
     ranking = [int(i) for i in ranking]
@@ -132,10 +125,3 @@ def msd_sweep(cube, ranking, k_values, n_bins=256):
             raise ConfigError(f"sweep k must be in [2, {len(ranking)}], got {k}")
         rows.append((int(k), msd(cube, ranking[:k], n_bins)))
     return rows
-
-
-def msd_sweep_csv(cube, ranking, k_values, n_bins=256):
-    lines = ["k,msd"]
-    for k, value in msd_sweep(cube, ranking, k_values, n_bins):
-        lines.append(f"{k},{value!r}")
-    return "\n".join(lines) + "\n"

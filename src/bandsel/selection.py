@@ -16,10 +16,11 @@ class SelectionResult:
 
     ``ranking`` is a permutation of all band indices sorted by descending
     averaged weight (ties go to the lower band index); ``top_k`` is its
-    length-k prefix. ``loss_trace`` holds one training loss per epoch and
-    ``weights_history`` optionally one averaged-weight row per epoch,
-    snapshotted as the epoch begins (so the first row reflects the
-    initialization, heatmap-style).
+    length-k prefix. ``loss_trace`` holds one training loss per epoch.
+    ``weights_history`` holds one averaged-weight row per epoch, snapshotted
+    as the epoch begins (so the first row reflects the initialization,
+    heatmap-style); training always fills it, and it is ``None`` only for
+    results built without training (read from JSON or ranked directly).
     """
 
     ranking: list[int]
@@ -79,31 +80,6 @@ class SelectionResult:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"selection result {path} is not UTF-8 text: {exc}") from exc
         return cls.from_json(text)
-
-    def weights_history_csv(self):
-        """Epoch-by-band CSV of averaged weights (header: epoch,band_0,...)."""
-        if self.weights_history is None:
-            raise ConfigError("selection result carries no weights history")
-        hist = np.asarray(self.weights_history, dtype=np.float64)
-        bands = hist.shape[1]
-        lines = ["epoch," + ",".join(f"band_{j}" for j in range(bands))]
-        for epoch, row in enumerate(hist, start=1):
-            lines.append(f"{epoch}," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    def save_weights_history_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.weights_history_csv())
-
-    def loss_trace_csv(self):
-        lines = ["epoch,loss"]
-        for epoch, value in enumerate(self.loss_trace, start=1):
-            lines.append(f"{epoch},{float(value)!r}")
-        return "\n".join(lines) + "\n"
-
-    def save_loss_trace_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.loss_trace_csv())
 
 
 def select_top_k(averaged, k, *, loss_trace=None, config=None, weights_history=None):

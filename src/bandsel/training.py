@@ -67,7 +67,7 @@ def _full_averaged_weights(model, samples, chunk=1024):
     return total / samples.shape[0]
 
 
-def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs=None):
+def train(sample_set, variant, cfg, *, k=None, model_kwargs=None):
     """Run the full selection procedure on a sample set.
 
     Returns (model, SelectionResult). ``k`` defaults to the band count so
@@ -89,12 +89,11 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
 
     n = samples.shape[0]
     loss_trace = []
-    weights_history = [] if record_weights else None
+    weights_history = []
     for epoch in range(1, cfg.max_epochs + 1):
-        if record_weights:
-            # Snapshot as the epoch begins; the first row shows the
-            # near-uniform initialization, the usual heatmap convention.
-            weights_history.append(_full_averaged_weights(model, samples))
+        # Snapshot as the epoch begins; the first row shows the
+        # near-uniform initialization, the usual heatmap convention.
+        weights_history.append(_full_averaged_weights(model, samples))
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
@@ -111,7 +110,6 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
 
     # Final weights always come from one full pass over every sample.
     averaged = _full_averaged_weights(model, samples)
-    history = np.stack(weights_history) if record_weights else None
 
     config = cfg.snapshot(
         variant=variant,
@@ -122,5 +120,6 @@ def train(sample_set, variant, cfg, *, k=None, record_weights=True, model_kwargs
         window=getattr(sample_set, "window", None),
         stride=getattr(sample_set, "stride", None),
     )
-    result = select_top_k(averaged, k, loss_trace=loss_trace, config=config, weights_history=history)
+    result = select_top_k(averaged, k, loss_trace=loss_trace, config=config,
+                           weights_history=np.stack(weights_history))
     return model, result

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bandsel.cli import main, parse_k_range
-from bandsel.cube import MAGIC, load_cube
+from bandsel.cube import MAGIC, HsiCube, load_cube, save_cube
 from bandsel.metrics import msd
 from bandsel.selection import SelectionResult
 
@@ -26,6 +26,21 @@ def make_cube(tmp_path, name="cube.hsic", rows=10, cols=10, bands=8, seed=1, cla
     ])
     assert code == 0
     return path
+
+
+def read_table(path):
+    """Header line and comma-split data rows of a CSV the CLI wrote."""
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    header, *lines = text[:-1].split("\n")
+    return header, [line.split(",") for line in lines]
+
+
+def assert_numeric(rows, start):
+    """Every field from column ``start`` on is a plain number (no ``np.float64(`` wrapper)."""
+    for row in rows:
+        for field in row[start:]:
+            float(field)
 
 
 class TestKRange:
@@ -102,11 +117,16 @@ class TestTrain:
         result = SelectionResult.load_json(tmp_path / "run.json")
         assert sorted(result.ranking) == list(range(8))
         assert len(result.top_k) == 3
-        loss_lines = (tmp_path / "run_loss.csv").read_text().strip().split("\n")
-        assert len(loss_lines) == 3
-        weights_lines = (tmp_path / "run_weights.csv").read_text().strip().split("\n")
-        assert len(weights_lines) == 3
-        assert weights_lines[0].startswith("epoch,band_0")
+        header, rows = read_table(tmp_path / "run_loss.csv")
+        assert header == "epoch,loss"
+        assert [",".join(row) for row in rows] == [
+            f"{epoch},{v!r}" for epoch, v in enumerate(result.loss_trace, 1)]
+        assert len(rows) == 2
+        header, rows = read_table(tmp_path / "run_weights.csv")
+        assert header == "epoch," + ",".join(f"band_{j}" for j in range(8))
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert all(len(row) == 1 + 8 for row in rows)
+        assert_numeric(rows, 1)
 
     def test_conv_variant_routes_patch_flags(self, tmp_path):
         cube = make_cube(tmp_path, rows=8, cols=8, bands=5)
@@ -139,26 +159,43 @@ class TestTrain:
 
 class TestMetrics:
     def test_entropy_csv_has_one_row_per_band(self, tmp_path):
-        cube = make_cube(tmp_path)
-        assert main(["metrics", "--input", str(cube), "--k", "2:4",
+        labels = [3 * j + 1 for j in range(8)]
+        save_cube(HsiCube(load_cube(make_cube(tmp_path)).values, band_labels=labels),
+                  tmp_path / "labeled.hsic")
+        assert main(["metrics", "--input", str(tmp_path / "labeled.hsic"), "--k", "2:4",
                      "--out-prefix", str(tmp_path / "m")]) == 0
-        lines = (tmp_path / "m_entropy.csv").read_text().strip().split("\n")
-        assert len(lines) == 1 + 8
+        header, rows = read_table(tmp_path / "m_entropy.csv")
+        assert header == "band_index,original_label,entropy"
+        assert [row[0] for row in rows] == [str(j) for j in range(8)]
+        assert [int(row[1]) for row in rows] == labels
+        assert_numeric(rows, 2)
 
     def test_msd_sweep_covers_range_and_matches_library(self, tmp_path):
         cube_path = make_cube(tmp_path)
         assert main(["metrics", "--input", str(cube_path), "--k", "2:6:2",
                      "--out-prefix", str(tmp_path / "m")]) == 0
-        lines = (tmp_path / "m_msd.csv").read_text().strip().split("\n")[1:]
-        ks = [int(line.split(",")[0]) for line in lines]
-        assert ks == [2, 4, 6]
+        header, rows = read_table(tmp_path / "m_msd.csv")
+        assert header == "k,msd"
+        assert [row[0] for row in rows] == ["2", "4", "6"]
         cube = load_cube(cube_path)
         from bandsel.metrics import variance_rank
 
         ranking = variance_rank(cube, cube.bands).ranking
-        for line in lines:
-            k, value = line.split(",")
+        for k, value in rows:
             assert float(value) == pytest.approx(msd(cube, ranking[: int(k)]), rel=1e-12)
+
+    def test_raw_valued_cube_is_unit_scaled(self, tmp_path):
+        # n / 256 and 500 + 1000 * n / 256 are exact in float32, so scaling
+        # the raw cube reproduces the pre-scaled values bit for bit.
+        levels = np.random.default_rng(7).integers(0, 257, size=(8, 8, 4)).astype(np.float64)
+        levels[0, 0, 0], levels[0, 0, 1] = 0, 256
+        save_cube(HsiCube(500.0 + 1000.0 * levels / 256), tmp_path / "raw.hsic")
+        save_cube(HsiCube(levels / 256), tmp_path / "unit.hsic")
+        for name in ("raw", "unit"):
+            assert main(["metrics", "--input", str(tmp_path / f"{name}.hsic"), "--k", "2:4",
+                         "--out-prefix", str(tmp_path / name)]) == 0
+        for table in ("_entropy.csv", "_msd.csv"):
+            assert (tmp_path / f"raw{table}").read_text() == (tmp_path / f"unit{table}").read_text()
 
     def test_ranking_file_is_used(self, tmp_path):
         cube_path = make_cube(tmp_path)
@@ -183,12 +220,16 @@ class TestEval:
             "--out-prefix", str(tmp_path / "e"),
         ])
         assert code == 0
-        rows = (tmp_path / "e_runs.csv").read_text().strip().split("\n")[1:]
+        header, rows = read_table(tmp_path / "e_runs.csv")
+        assert header == "selector,k,run_seed,oa,aa,kappa"
         assert len(rows) == 2 * 3 * 2  # selectors x runs x k values
-        seeds = {int(r.split(",")[2]) for r in rows}
-        assert seeds == {0, 1, 2}
-        summary = (tmp_path / "e_summary.csv").read_text().strip().split("\n")[1:]
+        assert {row[2] for row in rows} == {"0", "1", "2"}
+        assert_numeric(rows, 3)
+        header, summary = read_table(tmp_path / "e_summary.csv")
+        assert header == "selector,k,runs,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std"
         assert len(summary) == 2 * 2
+        assert {row[2] for row in summary} == {"3"}
+        assert_numeric(summary, 3)
 
     def test_missing_ground_truth_is_a_clear_error(self, tmp_path, capsys):
         path = tmp_path / "nogt.hsic"

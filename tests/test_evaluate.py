@@ -13,8 +13,6 @@ from bandsel.evaluate import (
     report,
     split,
     sweep,
-    sweep_aggregate_csv,
-    sweep_rows_csv,
 )
 
 from oracles import knn_oracle, report_oracle
@@ -219,19 +217,6 @@ class TestSweep:
         cube = labeled_cube(np.random.default_rng(14))
         with pytest.raises(ConfigError):
             sweep(cube, {"s": [0, 1]}, [3], runs=1, train_fraction=0.3)
-
-    def test_csv_shapes(self):
-        cube = labeled_cube(np.random.default_rng(15))
-        rows, aggregated = sweep(cube, {"s": [0, 1, 2, 3]}, [2, 3], runs=2, train_fraction=0.3)
-        rows_csv = sweep_rows_csv(rows).strip().split("\n")
-        agg_csv = sweep_aggregate_csv(aggregated, 2).strip().split("\n")
-        assert rows_csv[0] == "selector,k,run_seed,oa,aa,kappa"
-        assert len(rows_csv) == 1 + 4
-        assert agg_csv[0] == "selector,k,runs,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std"
-        assert len(agg_csv) == 1 + 2
-        for line in rows_csv[1:] + agg_csv[1:]:
-            for field in line.split(",")[3:]:
-                float(field)  # plain decimal floats, no repr wrappers
 
 
 def test_evaluate_subset_end_to_end():

@@ -8,10 +8,8 @@ from bandsel.errors import ConfigError
 from bandsel.metrics import (
     band_entropy,
     band_histogram,
-    entropy_table_csv,
     msd,
     msd_sweep,
-    msd_sweep_csv,
     skl_divergence,
     variance_rank,
 )
@@ -179,18 +177,7 @@ class TestVarianceRank:
 
 
 class TestExports:
-    def test_entropy_csv_has_one_row_per_band(self):
-        cube = unit_cube(np.random.default_rng(18), bands=9)
-        lines = entropy_table_csv(cube, 32).strip().split("\n")
-        assert lines[0] == "band_index,original_label,entropy"
-        assert len(lines) == 10
-
-    def test_entropy_csv_uses_original_labels(self):
-        cube = HsiCube(np.random.default_rng(19).random((4, 4, 3)), band_labels=[5, 9, 11])
-        lines = entropy_table_csv(cube, 16).strip().split("\n")[1:]
-        assert [int(line.split(",")[1]) for line in lines] == [5, 9, 11]
-
-    def test_msd_sweep_rows_and_csv(self):
+    def test_msd_sweep_rows(self):
         rng = np.random.default_rng(20)
         cube = unit_cube(rng, 8, 8, 7)
         ranking = variance_rank(cube, 7).ranking
@@ -198,5 +185,3 @@ class TestExports:
         assert [k for k, _ in rows] == [2, 4, 6]
         for k, value in rows:
             assert value == pytest.approx(msd(cube, ranking[:k], 32), rel=1e-12)
-        lines = msd_sweep_csv(cube, ranking, [2, 4, 6], 32).strip().split("\n")
-        assert lines[0] == "k,msd" and len(lines) == 4

@@ -79,17 +79,12 @@ class TestTopK:
 
 
 class TestSerialization:
-    def make_result(self):
-        hist = np.array([[0.5, 0.6, 0.4], [0.2, 0.7, 0.1]])
-        return select_top_k(
+    def test_json_round_trip(self, tmp_path):
+        result = select_top_k(
             np.array([0.2, 0.7, 0.1]), 2,
             loss_trace=[1.5, 0.25],
             config={"variant": "fc", "seed": 3},
-            weights_history=hist,
         )
-
-    def test_json_round_trip(self, tmp_path):
-        result = self.make_result()
         path = tmp_path / "result.json"
         result.save_json(path)
         loaded = SelectionResult.load_json(path)
@@ -98,24 +93,6 @@ class TestSerialization:
         assert loaded.loss_trace == result.loss_trace
         assert loaded.config == result.config
         np.testing.assert_array_equal(loaded.averaged_weights, result.averaged_weights)
-
-    def test_weights_history_csv_layout(self):
-        text = self.make_result().weights_history_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "epoch,band_0,band_1,band_2"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,") and lines[2].startswith("2,")
-        row = [float(v) for v in lines[2].split(",")[1:]]
-        assert row == [0.2, 0.7, 0.1]
-
-    def test_missing_history_raises(self):
-        result = select_top_k(np.array([0.5, 0.1]), 1)
-        with pytest.raises(ConfigError):
-            result.weights_history_csv()
-
-    def test_loss_trace_csv(self):
-        lines = self.make_result().loss_trace_csv().strip().split("\n")
-        assert lines == ["epoch,loss", "1,1.5", "2,0.25"]
 
     @pytest.mark.parametrize("text", [
         "{not json",
