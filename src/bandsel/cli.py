@@ -131,10 +131,12 @@ def cmd_metrics(args):
         k_values = list(range(2, min(10, cube.bands) + 1, 2))
     else:
         k_values = parse_k_range(args.k)
+    entropies = entropy_table(cube, args.n_bins)
+    divergences = msd_sweep(cube, ranking, k_values, args.n_bins)
     entropy_path = args.out_prefix + "_entropy.csv"
     msd_path = args.out_prefix + "_msd.csv"
-    _write_csv(entropy_path, "band_index,original_label,entropy", entropy_table(cube, args.n_bins))
-    _write_csv(msd_path, "k,msd", msd_sweep(cube, ranking, k_values, args.n_bins))
+    _write_csv(entropy_path, "band_index,original_label,entropy", entropies)
+    _write_csv(msd_path, "k,msd", divergences)
     _write_sidecar(args.out_prefix + "_metrics.meta.json", {
         "command": "metrics", "input": os.path.basename(args.input),
         "n_bins": args.n_bins, "ranking": source, "k": k_values,

@@ -84,7 +84,7 @@ def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
     if train_labels.shape[0] != train_pixels.shape[0]:
         raise DimensionError("one label per training pixel is required")
     k = min(k_neighbors, train_pixels.shape[0])
-    n_classes = int(train_labels.max()) + 1
+    classes, label_index = np.unique(train_labels, return_inverse=True)
     predictions = np.empty(test_pixels.shape[0], dtype=np.int64)
     chunk = max(1, 2_000_000 // max(train_pixels.shape[0], 1))
     train_sq = np.sum(train_pixels ** 2, axis=1)
@@ -92,10 +92,10 @@ def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
         block = test_pixels[start : start + chunk]
         d2 = np.sum(block ** 2, axis=1)[:, None] - 2.0 * block @ train_pixels.T + train_sq
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = train_labels[nearest]
-        for i, row in enumerate(votes):
-            counts = np.bincount(row, minlength=n_classes)
-            predictions[start + i] = counts.argmax()
+        # Classes are sorted, so argmax's first maximum is the smallest tied class id.
+        votes = np.zeros((len(block), classes.size), dtype=np.int64)
+        np.add.at(votes, (np.arange(len(block))[:, None], label_index[nearest]), 1)
+        predictions[start : start + len(block)] = classes[votes.argmax(axis=1)]
     return predictions
 
 
@@ -146,17 +146,20 @@ def report(true_labels, predicted_labels, n_classes):
                        per_class_accuracy=per_class, confusion=confusion)
 
 
-def evaluate_subset(cube, band_subset, split_spec, k_neighbors=5):
-    """Split, classify on the given bands, and report for one run."""
+def _score(cube, train_idx, test_idx, band_subset, k_neighbors):
+    """Classify the test pixels from the training pixels on the given bands and report."""
     band_subset = [int(b) for b in band_subset]
     if len(band_subset) == 0:
         raise ConfigError("band subset is empty")
-    train_idx, test_idx = split(cube, split_spec)
     flat = cube.values.reshape(-1, cube.bands)[:, band_subset]
     labels = cube.ground_truth.ravel().astype(np.int64)
-    n_classes = int(labels.max())
     predicted = classify_knn(flat[train_idx], labels[train_idx] - 1, flat[test_idx], k_neighbors)
-    return report(labels[test_idx] - 1, predicted, n_classes)
+    return report(labels[test_idx] - 1, predicted, int(labels.max()))
+
+
+def evaluate_subset(cube, band_subset, split_spec, k_neighbors=5):
+    """Split, classify on the given bands, and report for one run."""
+    return _score(cube, *split(cube, split_spec), band_subset, k_neighbors)
 
 
 def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5,
@@ -184,15 +187,15 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
     rows = []
     for run in range(runs):
         seed = base_seed + run
-        spec = SplitSpec(train_fraction=train_fraction, seed=seed)
+        train_idx, test_idx = split(cube, SplitSpec(train_fraction=train_fraction, seed=seed))
         random_rng = np.random.default_rng(seed)
         for k in k_values:
             for name, ranking in named.items():
-                rep = evaluate_subset(cube, ranking[:k], spec, k_neighbors)
+                rep = _score(cube, train_idx, test_idx, ranking[:k], k_neighbors)
                 rows.append((name, k, seed, rep.oa, rep.aa, rep.kappa))
             if include_random:
                 subset = random_rng.choice(cube.bands, size=k, replace=False)
-                rep = evaluate_subset(cube, subset, spec, k_neighbors)
+                rep = _score(cube, train_idx, test_idx, subset, k_neighbors)
                 rows.append(("random", k, seed, rep.oa, rep.aa, rep.kappa))
     aggregated = []
     names = list(named) + (["random"] if include_random else [])

@@ -13,11 +13,14 @@ Histograms assume unit-scaled values: a value v falls into bin
 floor(v * (n_bins - 1) + 0.5), the round-to-nearest of n_bins gray levels.
 All logarithms are natural. KL divergences are computed on
 epsilon-smoothed probabilities so disjoint supports stay finite.
+
+An MSD sweep histograms each band of the longest prefix once and computes
+one divergence per band pair; each prefix's mean then sums its pairs in
+subset order (row-major over the upper triangle), so every prefix gives
+the value a pair-by-pair loop over that subset would.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +30,8 @@ from bandsel.selection import select_top_k
 SMOOTH_EPS = 1e-6
 
 
-@dataclass
-class BandHistogram:
-    """Pixel counts over gray-level bins; probabilities are counts / total."""
-
-    counts: np.ndarray
-    n_bins: int
-
-    @property
-    def probs(self):
-        return self.counts / self.counts.sum()
-
-
 def band_histogram(cube, band_index, n_bins=256):
-    """Histogram of one band's pixel values quantized to n_bins gray levels."""
+    """Pixel counts of one band's values quantized to n_bins gray levels."""
     if not 0 <= band_index < cube.bands:
         raise ConfigError(f"band index {band_index} out of range for {cube.bands}-band cube")
     if n_bins < 2:
@@ -48,31 +39,34 @@ def band_histogram(cube, band_index, n_bins=256):
     values = cube.values[:, :, band_index]
     bins = np.floor(values * (n_bins - 1) + 0.5).astype(np.int64)
     np.clip(bins, 0, n_bins - 1, out=bins)
-    counts = np.bincount(bins.ravel(), minlength=n_bins)
-    return BandHistogram(counts=counts, n_bins=int(n_bins))
+    return np.bincount(bins.ravel(), minlength=n_bins)
 
 
-def band_entropy(hist):
+def band_entropy(counts):
     """Shannon entropy (nats) of a band histogram; empty bins contribute zero."""
-    p = hist.probs
+    p = counts / counts.sum()
     nz = p > 0
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def _smoothed_probs(hist):
-    counts = hist.counts.astype(np.float64)
-    total = counts.sum() + hist.n_bins * SMOOTH_EPS
-    return (counts + SMOOTH_EPS) / total
+def _skl_matrix(counts):
+    """Symmetric KL divergence between every pair of rows of counts[m, n_bins]."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum(axis=1, keepdims=True) + counts.shape[1] * SMOOTH_EPS
+    p = (counts + SMOOTH_EPS) / total
+    log_p = np.log(p)
+    upper = np.zeros((len(p), len(p)))
+    for i in range(len(p) - 1):
+        log_ratio = log_p[i] - log_p[i + 1 :]
+        upper[i, i + 1 :] = np.sum(p[i] * log_ratio, axis=1) - np.sum(p[i + 1 :] * log_ratio, axis=1)
+    return upper + upper.T
 
 
-def skl_divergence(hist_i, hist_j):
+def skl_divergence(counts_i, counts_j):
     """Symmetric KL divergence between two band histograms."""
-    if hist_i.n_bins != hist_j.n_bins:
-        raise ConfigError(f"bin counts differ: {hist_i.n_bins} vs {hist_j.n_bins}")
-    p = _smoothed_probs(hist_i)
-    q = _smoothed_probs(hist_j)
-    log_ratio = np.log(p) - np.log(q)
-    return float(np.sum(p * log_ratio) - np.sum(q * log_ratio))
+    if len(counts_i) != len(counts_j):
+        raise ConfigError(f"bin counts differ: {len(counts_i)} vs {len(counts_j)}")
+    return float(_skl_matrix([counts_i, counts_j])[0, 1])
 
 
 def msd(cube, band_subset, n_bins=256):
@@ -81,17 +75,9 @@ def msd(cube, band_subset, n_bins=256):
     Average symmetric KL over the k(k-1)/2 unordered band pairs. Repeated
     indices are tolerated and contribute zero divergence.
     """
-    subset = [int(i) for i in band_subset]
-    k = len(subset)
-    if k < 2:
-        raise ConfigError(f"subset must contain at least 2 bands, got {k}")
-    hists = {i: band_histogram(cube, i, n_bins) for i in set(subset)}
-    total = 0.0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if subset[a] != subset[b]:
-                total += skl_divergence(hists[subset[a]], hists[subset[b]])
-    return 2.0 * total / (k * (k - 1))
+    if len(band_subset) < 2:
+        raise ConfigError(f"subset must contain at least 2 bands, got {len(band_subset)}")
+    return msd_sweep(cube, band_subset, [len(band_subset)], n_bins)[0][1]
 
 
 def variance_rank(cube, k):
@@ -119,9 +105,14 @@ def entropy_table(cube, n_bins=256):
 def msd_sweep(cube, ranking, k_values, n_bins=256):
     """Rows of (k, msd of the top-k prefix of ranking) for each requested k."""
     ranking = [int(i) for i in ranking]
-    rows = []
+    k_values = [int(k) for k in k_values]
     for k in k_values:
         if not 2 <= k <= len(ranking):
             raise ConfigError(f"sweep k must be in [2, {len(ranking)}], got {k}")
-        rows.append((int(k), msd(cube, ranking[:k], n_bins)))
-    return rows
+    if not k_values:
+        return []
+    skl = _skl_matrix([band_histogram(cube, i, n_bins) for i in ranking[: max(k_values)]])
+    # cumsum adds the row-major pair values left to right, as a pair-by-pair
+    # loop does; np.sum's pairwise order would change the last bits.
+    return [(k, 2.0 * float(np.cumsum(skl[:k, :k][np.triu_indices(k, 1)])[-1]) / (k * (k - 1)))
+            for k in k_values]

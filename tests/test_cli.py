@@ -9,8 +9,9 @@ import pytest
 
 from bandsel.cli import main, parse_k_range
 from bandsel.cube import MAGIC, HsiCube, load_cube, save_cube
-from bandsel.metrics import msd
 from bandsel.selection import SelectionResult
+
+from oracles import msd_oracle
 
 
 def sha256(path):
@@ -170,7 +171,7 @@ class TestMetrics:
         assert [int(row[1]) for row in rows] == labels
         assert_numeric(rows, 2)
 
-    def test_msd_sweep_covers_range_and_matches_library(self, tmp_path):
+    def test_msd_sweep_covers_range_and_matches_oracle(self, tmp_path):
         cube_path = make_cube(tmp_path)
         assert main(["metrics", "--input", str(cube_path), "--k", "2:6:2",
                      "--out-prefix", str(tmp_path / "m")]) == 0
@@ -182,7 +183,8 @@ class TestMetrics:
 
         ranking = variance_rank(cube, cube.bands).ranking
         for k, value in rows:
-            assert float(value) == pytest.approx(msd(cube, ranking[: int(k)]), rel=1e-12)
+            want = msd_oracle(cube.values, ranking[: int(k)], 256)
+            assert float(value) == pytest.approx(want, abs=1e-10)
 
     def test_raw_valued_cube_is_unit_scaled(self, tmp_path):
         # n / 256 and 500 + 1000 * n / 256 are exact in float32, so scaling
@@ -206,7 +208,16 @@ class TestMetrics:
         ranking = SelectionResult.load_json(tmp_path / "sel.json").ranking
         cube = load_cube(cube_path)
         line = (tmp_path / "m_msd.csv").read_text().strip().split("\n")[1]
-        assert float(line.split(",")[1]) == pytest.approx(msd(cube, ranking[:3]), rel=1e-12)
+        want = msd_oracle(cube.values, ranking[:3], 256)
+        assert float(line.split(",")[1]) == pytest.approx(want, abs=1e-10)
+
+    def test_bad_k_leaves_no_output(self, tmp_path, capsys):
+        cube_path = make_cube(tmp_path, bands=6)
+        assert main(["metrics", "--input", str(cube_path), "--k", "2:10:2",
+                     "--out-prefix", str(tmp_path / "m")]) == 2
+        assert "sweep k" in capsys.readouterr().err
+        for suffix in ("_entropy.csv", "_msd.csv", "_metrics.meta.json"):
+            assert not (tmp_path / f"m{suffix}").exists()
 
 
 class TestEval:

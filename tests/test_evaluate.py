@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bandsel import evaluate
 from bandsel.cube import HsiCube
 from bandsel.errors import ConfigError, DataError, DimensionError
 from bandsel.evaluate import (
@@ -113,11 +114,13 @@ class TestKnn:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(6)
         train_x = rng.random((30, 4))
-        train_y = rng.integers(0, 3, size=30)
+        draws = rng.integers(0, 3, size=30)
         test_x = rng.random((25, 4))
-        for k in (1, 3, 5):
-            pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
-            np.testing.assert_array_equal(pred, knn_oracle(train_x, train_y, test_x, k))
+        for class_ids in ((0, 1, 2), (0, 7, 42)):  # contiguous and gapped label ids
+            train_y = np.array(class_ids)[draws]
+            for k in (1, 3, 5):
+                pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
+                np.testing.assert_array_equal(pred, knn_oracle(train_x, train_y, test_x, k))
 
     def test_vote_tie_goes_to_smallest_class_id(self):
         train_x = np.array([[0.0], [2.0]])
@@ -212,6 +215,33 @@ class TestSweep:
         a = sweep(cube, {"s": [0, 1, 2, 3]}, [2], runs=3, train_fraction=0.3, base_seed=5)
         b = sweep(cube, {"s": [0, 1, 2, 3]}, [2], runs=3, train_fraction=0.3, base_seed=5)
         assert a == b
+
+    def test_rows_equal_per_run_evaluate_subset_calls(self, monkeypatch):
+        cube = labeled_cube(np.random.default_rng(15), bands=5)
+        rankings = {"a": [0, 1, 2, 3, 4], "b": [4, 2, 0, 3, 1]}
+        calls = []
+        real_split = evaluate.split
+
+        def counting_split(*args):
+            calls.append(args)
+            return real_split(*args)
+
+        monkeypatch.setattr(evaluate, "split", counting_split)
+        rows, _ = sweep(cube, rankings, [1, 3], runs=3, train_fraction=0.3, k_neighbors=3,
+                        base_seed=4, include_random=True)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        expected = []
+        for seed in (4, 5, 6):
+            spec = SplitSpec(train_fraction=0.3, seed=seed)
+            random_rng = np.random.default_rng(seed)
+            for k in (1, 3):
+                subsets = {name: ranking[:k] for name, ranking in rankings.items()}
+                subsets["random"] = random_rng.choice(5, size=k, replace=False)
+                for name, subset in subsets.items():
+                    rep = evaluate_subset(cube, subset, spec, k_neighbors=3)
+                    expected.append((name, k, seed, rep.oa, rep.aa, rep.kappa))
+        assert rows == expected
 
     def test_short_ranking_rejected(self):
         cube = labeled_cube(np.random.default_rng(14))
