@@ -150,10 +150,15 @@ def cmd_eval(args):
     if cube.ground_truth is None:
         raise DataError(f"cube {args.input} has no ground truth; evaluation needs labeled pixels")
     selectors = {}
+    # Rows and summaries are keyed by selector name, so a repeated name would merge two selectors.
+    taken = {name for name, on in (("variance", args.variance_baseline), ("random", args.include_random)) if on}
     for item in args.selection or []:
         if "=" not in item:
             raise ConfigError(f"--selection expects name=path, got {item!r}")
         name, path = item.split("=", 1)
+        if name in taken:
+            raise ConfigError(f"selector name {name!r} is used more than once")
+        taken.add(name)
         selectors[name] = _load_ranking(path, cube.bands)
     if args.variance_baseline:
         selectors["variance"] = variance_rank(cube, cube.bands).ranking

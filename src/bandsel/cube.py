@@ -126,8 +126,8 @@ def load_cube(path):
         raise FormatError(f"non-positive cube dimensions {rows}x{cols}x{bands} in header")
     labels = header.get("band_labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == bands
-                                   and all(_is_int(v) for v in labels)):
-        raise FormatError(f"band_labels in header must be a list of {bands} integers")
+                                   and all(_is_int(v) and -2**63 <= v < 2**63 for v in labels)):
+        raise FormatError(f"band_labels in header must be a list of {bands} 64-bit integers")
     n_values = rows * cols * bands
     if len(data) < offset + 4 * n_values:
         raise FormatError(f"truncated value payload at offset {offset}: need {4 * n_values} bytes")

@@ -33,7 +33,8 @@ def split(cube, spec):
 
     The split is stratified: every class keeps at least one training
     pixel (and at least one test pixel when it has two or more). Empty
-    class ids below the maximum label are skipped with a warning.
+    class ids below the maximum label are skipped with one warning per
+    run of consecutive missing ids.
     Deterministic for a fixed seed.
     """
     if cube.ground_truth is None:
@@ -44,9 +45,12 @@ def split(cube, spec):
         raise ConfigError("cube has no labeled pixels")
     if present.size < 2:
         raise ConfigError(f"need at least 2 labeled classes, got {present.size}")
-    for class_id in range(1, int(labels.max()) + 1):
-        if class_id not in present:
-            warnings.warn(f"class {class_id} has no labeled pixels; skipped", stacklevel=2)
+    bounds = np.concatenate(([0], present))
+    for first, last in zip(bounds[:-1] + 1, bounds[1:] - 1):
+        if first == last:
+            warnings.warn(f"class {first} has no labeled pixels; skipped", stacklevel=2)
+        elif first < last:
+            warnings.warn(f"classes {first}-{last} have no labeled pixels; skipped", stacklevel=2)
     rng = np.random.default_rng(spec.seed)
     train_parts = []
     test_parts = []
@@ -147,14 +151,20 @@ def report(true_labels, predicted_labels, n_classes):
 
 
 def _score(cube, train_idx, test_idx, band_subset, k_neighbors):
-    """Classify the test pixels from the training pixels on the given bands and report."""
+    """Classify the test pixels from the training pixels on the given bands and report.
+
+    Class ids are encoded as their rank among the training labels, so the
+    confusion matrix is sized by the classes present, not the largest id.
+    """
     band_subset = [int(b) for b in band_subset]
     if len(band_subset) == 0:
         raise ConfigError("band subset is empty")
-    flat = cube.values.reshape(-1, cube.bands)[:, band_subset]
-    labels = cube.ground_truth.ravel().astype(np.int64)
-    predicted = classify_knn(flat[train_idx], labels[train_idx] - 1, flat[test_idx], k_neighbors)
-    return report(labels[test_idx] - 1, predicted, int(labels.max()))
+    flat = cube.values.reshape(-1, cube.bands)
+    labels = cube.ground_truth.ravel()
+    classes, train_labels = np.unique(labels[train_idx], return_inverse=True)
+    predicted = classify_knn(flat[np.ix_(train_idx, band_subset)], train_labels,
+                             flat[np.ix_(test_idx, band_subset)], k_neighbors)
+    return report(np.searchsorted(classes, labels[test_idx]), predicted, classes.size)
 
 
 def evaluate_subset(cube, band_subset, split_spec, k_neighbors=5):

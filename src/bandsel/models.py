@@ -33,11 +33,9 @@ def reweight(batch, weights):
         raise DimensionError(
             f"weights {tuple(weights.shape)} do not match batch {tuple(batch.shape)}"
         )
-    if batch.ndim == 2:
-        return batch * weights
-    if batch.ndim == 4:
-        return batch * weights[:, None, None, :]
-    raise DimensionError(f"batch must be [S, b] or [S, a, a, b], got {tuple(batch.shape)}")
+    if batch.ndim not in (2, 4):
+        raise DimensionError(f"batch must be [S, b] or [S, a, a, b], got {tuple(batch.shape)}")
+    return batch * weights.reshape(weights.shape[0], *[1] * (batch.ndim - 2), weights.shape[1])
 
 
 def reconstruction_loss(x, x_hat, weights, l1_coeff):
@@ -114,11 +112,9 @@ class _BandSelector:
         n = batch.shape[0]
         loss = reconstruction_loss(batch, x_hat, weights, l1_coeff)
         d_z = self.rec.backward((x_hat - batch) / n)
-        # z = x * w: only the weight factor leads back to parameters.
-        if batch.ndim == 4:
-            d_weights = np.sum(d_z * batch, axis=(1, 2))
-        else:
-            d_weights = d_z * batch
+        # z = x * w: only the weight factor leads back to parameters; a
+        # patch's weight gradient sums over its pixels.
+        d_weights = (d_z * batch).reshape(n, -1, self.bands).sum(axis=1)
         self.bam.backward(d_weights + l1_coeff * np.sign(weights) / n)
         return loss, weights
 
@@ -135,6 +131,14 @@ class _BandSelector:
         return batch
 
 
+def _dense_stack(dims, rng):
+    """Dense layers through the widths ``dims``: relu between, sigmoid last."""
+    return LayerStack([
+        DenseLayer(dims[i], dims[i + 1], "sigmoid" if i == len(dims) - 2 else "relu", rng=rng)
+        for i in range(len(dims) - 1)
+    ])
+
+
 class BandSelectorFC(_BandSelector):
     """Spectral selector: dense attention and reconstruction stacks over pixel vectors.
 
@@ -146,18 +150,8 @@ class BandSelectorFC(_BandSelector):
 
     def __init__(self, bands, bam_hidden=(64, 128), rec_hidden=(64, 128, 256), *, rng=None):
         rng = np.random.default_rng() if rng is None else rng
-        bam_dims = [bands, *bam_hidden, bands]
-        bam = LayerStack([
-            DenseLayer(bam_dims[i], bam_dims[i + 1],
-                       "sigmoid" if i == len(bam_dims) - 2 else "relu", rng=rng)
-            for i in range(len(bam_dims) - 1)
-        ])
-        rec_dims = [bands, *rec_hidden, bands]
-        rec = LayerStack([
-            DenseLayer(rec_dims[i], rec_dims[i + 1],
-                       "sigmoid" if i == len(rec_dims) - 2 else "relu", rng=rng)
-            for i in range(len(rec_dims) - 1)
-        ])
+        bam = _dense_stack([bands, *bam_hidden, bands], rng)
+        rec = _dense_stack([bands, *rec_hidden, bands], rng)
         super().__init__(bands, bam, rec)
 
     def _check_batch(self, batch):

@@ -4,10 +4,12 @@ Arrays are the tensor carrier throughout: C-ordered float64 ndarrays.
 Each layer with parameters names them in the class tuple ``param_fields``;
 every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
 layer belongs to a model, both are views into the model's flat ``params`` and
-``grads`` vectors, so the layer must never rebind them. Layers cache whatever
-the backward pass needs during forward; ``backward`` consumes the cache,
-writes the parameter gradients in place into the ``grad_*`` views and returns
-the gradient with respect to the layer input.
+``grads`` vectors, so the layer must never rebind them. During forward a
+layer caches its input and its output, and nothing else: the output alone
+fixes the derivative of every activation (relu passes where the output is
+positive, sigmoid scales by ``out * (1 - out)``). ``backward`` consumes the
+cache, writes the parameter gradients in place into the ``grad_*`` views and
+returns the gradient with respect to the layer input.
 
 Spatial convolutions are stride 1 with zero-padded "same" geometry: an odd
 ``k x k`` kernel is padded by ``k // 2`` on every side, so height and width
@@ -26,14 +28,10 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: ``exp(-|x|)`` never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -55,10 +53,10 @@ def _apply_activation(activation, pre):
     return pre
 
 
-def _activation_backward(activation, grad, pre, out):
-    """Gradient through the element-wise nonlinearity given cached tensors."""
+def _activation_backward(activation, grad, out):
+    """Gradient through the element-wise nonlinearity, from the cached output alone."""
     if activation == "relu":
-        return grad * (pre > 0)
+        return grad * (out > 0)
     if activation == "sigmoid":
         return grad * out * (1.0 - out)
     return grad
@@ -82,7 +80,6 @@ class DenseLayer:
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
-        self._pre = None
         self._out = None
 
     def forward(self, x):
@@ -92,14 +89,13 @@ class DenseLayer:
                 f"dense layer expects input [batch, {self.in_dim}], got shape {tuple(x.shape)}"
             )
         self._x = x
-        self._pre = x @ self.weights + self.bias
-        self._out = _apply_activation(self.activation, self._pre)
+        self._out = _apply_activation(self.activation, x @ self.weights + self.bias)
         return self._out
 
     def backward(self, grad):
         if self._x is None:
             raise StateError("backward called before forward on dense layer")
-        d_pre = _activation_backward(self.activation, grad, self._pre, self._out)
+        d_pre = _activation_backward(self.activation, grad, self._out)
         self.grad_weights[...] = self._x.T @ d_pre
         self.grad_bias[...] = d_pre.sum(axis=0)
         return d_pre @ self.weights.T
@@ -158,7 +154,6 @@ class Conv2DLayer:
         self.grad_kernels = np.zeros_like(self.kernels)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
-        self._pre = None
         self._out = None
 
     def forward(self, x):
@@ -168,14 +163,13 @@ class Conv2DLayer:
                 f"conv layer expects input [batch, h, w, {self.in_channels}], got shape {tuple(x.shape)}"
             )
         self._x = x
-        self._pre = _correlate(x, self.kernels) + self.bias
-        self._out = _apply_activation(self.activation, self._pre)
+        self._out = _apply_activation(self.activation, _correlate(x, self.kernels) + self.bias)
         return self._out
 
     def backward(self, grad):
         if self._x is None:
             raise StateError("backward called before forward on conv layer")
-        d_pre = _activation_backward(self.activation, grad, self._pre, self._out)
+        d_pre = _activation_backward(self.activation, grad, self._out)
         self.grad_bias[...] = d_pre.sum(axis=(0, 1, 2))
         self.grad_kernels[...] = _kernel_grad(self._x, d_pre, self.kernels.shape)
         return _correlate(d_pre, self.kernels[::-1, ::-1].transpose(0, 1, 3, 2))

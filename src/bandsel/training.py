@@ -19,6 +19,7 @@ from bandsel.nn import AdamState, adam_step
 from bandsel.selection import select_top_k
 
 DEFAULT_BATCH = {"fc": 64, "conv": 32}
+AVERAGING_CHUNK = 1024
 
 
 @dataclass
@@ -58,11 +59,11 @@ class TrainConfig:
         return base
 
 
-def _full_averaged_weights(model, samples, chunk=1024):
-    """Mean band weight over every sample, evaluated in chunks."""
+def _full_averaged_weights(model, samples):
+    """Mean band weight over every sample, evaluated in chunks of AVERAGING_CHUNK."""
     total = np.zeros(model.bands)
-    for start in range(0, samples.shape[0], chunk):
-        part = samples[start : start + chunk]
+    for start in range(0, samples.shape[0], AVERAGING_CHUNK):
+        part = samples[start : start + AVERAGING_CHUNK]
         total += model.band_weights(part).sum(axis=0)
     return total / samples.shape[0]
 

@@ -66,6 +66,17 @@ def mean_pool_oracle(x):
     return out
 
 
+def sigmoid_oracle(x):
+    """Logistic function through two boolean masks: 1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x))."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def scalar_adam_oracle(theta, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference scalar Adam trajectory; returns the list of iterates."""
     m = 0.0

@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: flags, outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import struct
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandsel.cli import main, parse_k_range
 from bandsel.cube import MAGIC, HsiCube, load_cube, save_cube
@@ -258,6 +265,36 @@ class TestEval:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [
+        ["--selection", "random={sel}", "--include-random"],
+        ["--selection", "variance={sel}", "--variance-baseline"],
+        ["--selection", "a={sel}", "--selection", "a={sel}"],
+    ], ids=["random", "variance", "repeated"])
+    def test_colliding_selector_names_are_a_config_error(self, tmp_path, capsys, flags):
+        cube = make_cube(tmp_path)
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"ranking": list(range(8)), "top_k": [0, 1],
+                                   "averaged_weights": [0.5] * 8, "loss_trace": [1.0]}))
+        code = main(["eval", "--input", str(cube), *[f.format(sel=sel) for f in flags],
+                     "--k", "2", "--runs", "2", "--out-prefix", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("e_*"))
+
+    def test_largest_label_id_does_not_size_the_evaluation(self, tmp_path):
+        values = np.random.default_rng(0).random((6, 5, 4))
+        gt = np.ones((6, 5), dtype=np.uint32)
+        gt[2:4] = 2
+        gt[4:] = 2**32 - 1
+        path = tmp_path / "huge.hsic"
+        save_cube(HsiCube(values, ground_truth=gt), path)
+        with pytest.warns(UserWarning, match="classes 3-4294967294 have no labeled pixels"):
+            code = main(["eval", "--input", str(path), "--include-random", "--k", "2",
+                         "--runs", "1", "--out-prefix", str(tmp_path / "e")])
+        assert code == 0
+        _, rows = read_table(tmp_path / "e_runs.csv")
+        assert len(rows) == 1
+
 
 BAD_RANKINGS = {
     "longer_than_cube": json.dumps({"ranking": list(range(12)), "top_k": [0, 1],
@@ -300,6 +337,7 @@ BAD_CUBES = {
     "header_is_a_list": cube_file_bytes([2, 3, 4], PAYLOAD),
     "band_labels_a_string": cube_file_bytes({**HEADER, "band_labels": "ab"}, PAYLOAD),
     "band_labels_wrong_length": cube_file_bytes({**HEADER, "band_labels": [0, 1, 2]}, PAYLOAD),
+    "band_labels_beyond_int64": cube_file_bytes({**HEADER, "band_labels": [0, 1, 2, 2**63]}, PAYLOAD),
     "all_nan_payload": cube_file_bytes(HEADER, np.full(24, np.nan)),
 }
 
@@ -313,3 +351,61 @@ def test_malformed_cube_exits_3_without_traceback(tmp_path, capsys, case):
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
+
+
+FUZZ_HEADER = {"rows": 6, "cols": 5, "bands": 4, "dtype": "f32", "has_gt": True}
+FUZZ_VALUES = np.linspace(0.0, 1.0, 6 * 5 * 4)
+FUZZ_LABELS = np.arange(6 * 5) % 3 + 1
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def fuzz_cube_bytes(header=FUZZ_HEADER, labels=FUZZ_LABELS):
+    blob = json.dumps(header).encode()
+    return (MAGIC + struct.pack("<I", len(blob)) + blob + np.asarray(FUZZ_VALUES, dtype="<f4").tobytes()
+            + np.asarray(labels, dtype="<u4").tobytes())
+
+
+@st.composite
+def mutated_cube(draw):
+    """A valid 6x5x4 labeled cube file with one kind of damage: header, labels or raw bytes."""
+    kind = draw(st.sampled_from(["header", "drop_field", "labels", "bytes", "truncate"]))
+    if kind == "header":
+        field = draw(st.sampled_from([*FUZZ_HEADER, "band_labels"]))
+        value = draw(JSON_VALUES | st.lists(st.integers(-2**70, 2**70), min_size=4, max_size=4))
+        return fuzz_cube_bytes(header={**FUZZ_HEADER, field: value})
+    if kind == "drop_field":
+        field = draw(st.sampled_from(list(FUZZ_HEADER)))
+        return fuzz_cube_bytes(header={k: v for k, v in FUZZ_HEADER.items() if k != field})
+    if kind == "labels":
+        label = st.integers(0, 4) | st.integers(0, 2**32 - 1) | st.just(2**32 - 1)
+        return fuzz_cube_bytes(labels=draw(st.lists(label, min_size=30, max_size=30)))
+    data = bytearray(fuzz_cube_bytes())
+    if kind == "truncate":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)),
+                                   min_size=1, max_size=8)):
+        data[pos] = byte
+    return bytes(data)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_cube())
+def test_mutated_cube_exits_cleanly(raw):
+    """Any damage to a cube file ends in exit 0, 2 or 3 with an ``error:`` line, never an exception."""
+    argvs = (["eval", "--include-random", "--k", "2", "--runs", "1"], ["metrics", "--k", "2:3"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cube.hsic")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main([*argv, "--input", path, "--out-prefix", os.path.join(tmp, "out")])
+            assert code in (0, 2, 3)
+            assert code == 0 or err.getvalue().startswith("error:")

@@ -1,5 +1,7 @@
 """Split, k-NN, report, and sweep behavior of the evaluation harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ class TestSplit:
         with pytest.warns(UserWarning, match="class 2"):
             train_idx, test_idx = split(cube, SplitSpec(train_fraction=0.25, seed=5))
         assert len(train_idx) + len(test_idx) == 16
+
+    def test_gap_of_missing_ids_warns_once_and_confusion_has_present_classes(self):
+        values = np.random.default_rng(5).random((4, 6, 3))
+        gt = np.ones((4, 6), dtype=np.uint32)
+        gt[1] = 2
+        gt[2:] = 3000
+        cube = HsiCube(values, ground_truth=gt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = evaluate_subset(cube, [0, 1], SplitSpec(train_fraction=0.25, seed=6))
+        assert [str(w.message) for w in caught] == ["classes 3-2999 have no labeled pixels; skipped"]
+        assert rep.confusion.shape == (3, 3)
 
     def test_unlabeled_cube_rejected(self):
         values = np.zeros((3, 3, 2))

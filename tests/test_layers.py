@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bandsel.errors import ConfigError, DimensionError, StateError
 from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, sigmoid
 
-from oracles import conv2d_oracle, matmul_oracle, mean_pool_oracle
+from oracles import conv2d_oracle, matmul_oracle, mean_pool_oracle, sigmoid_oracle
 
 
 @st.composite
@@ -144,3 +144,9 @@ class TestStackAndState:
         out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 0.5 and out[2] == 1.0
         assert np.all(np.isfinite(out))
+
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                    min_size=1, max_size=64))
+    def test_sigmoid_equals_masked_oracle_exactly(self, values):
+        x = np.array(values)
+        np.testing.assert_array_equal(sigmoid(x), sigmoid_oracle(x))

@@ -81,6 +81,11 @@ class TestReweight:
         with pytest.raises(DimensionError):
             reweight(np.zeros((2, 5)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 3, 3, 5)])
+    def test_batch_neither_spectra_nor_patches_raises(self, shape):
+        with pytest.raises(DimensionError):
+            reweight(np.zeros(shape), np.zeros((2, 5)))
+
 
 class TestReconstruction:
     def test_sigmoid_head_keeps_outputs_in_unit_interval(self):
