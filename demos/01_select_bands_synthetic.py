@@ -21,7 +21,7 @@ print(f"cube: {cube.rows}x{cube.cols}x{cube.bands}, planted bands {spec.informat
 
 # Pixel spectra are the training samples for the spectral variant.
 samples = extract_pixels(cube)
-print(f"training samples: {len(samples)} spectra of length {samples.bands}")
+print(f"training samples: {len(samples)} spectra of length {samples.shape[1]}")
 
 # Reference hyperparameters; fewer epochs keep the demo quick.
 cfg = TrainConfig(l1_coeff=1e-2, learning_rate=2e-3, max_epochs=40, seed=0)

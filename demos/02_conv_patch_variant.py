@@ -18,7 +18,7 @@ cube = scale_unit(synth_generate(spec))
 
 # 5x5 windows with stride 2: (floor((20-5)/2)+1)^2 = 64 patches.
 samples = extract_patches(cube, window=5, stride=2)
-print(f"{len(samples)} patches of shape {samples.samples.shape[1:]}")
+print(f"{len(samples)} patches of shape {samples.shape[1:]}")
 
 cfg = TrainConfig(max_epochs=50, batch_size=8, seed=1)
 model, result = train(
@@ -30,5 +30,5 @@ print(f"loss: {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}")
 print(f"top-3 bands: {result.top_k} (planted {spec.informative})")
 
 # The reconstruction keeps the patch geometry end to end.
-weights, restored = model.forward(samples.samples[:4])
+weights, restored = model.forward(samples[:4])
 print(f"weights per sample: {weights.shape}, reconstruction: {restored.shape}")

@@ -33,23 +33,28 @@ from bandsel.synthetic import SynthSpec, synth_generate
 from bandsel.training import TrainConfig, train
 
 
-def parse_k_range(text):
-    """Parse ``start:end:step`` (inclusive) or a single integer into a k list."""
-    parts = text.split(":")
+def parse_k_range(text, bands=None):
+    """Parse ``start:end:step`` (inclusive), ``start:end`` or one integer into a k list.
+
+    With ``bands`` given, a largest value above it is rejected before the
+    list is built, so a huge range costs nothing.
+    """
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [int(p) for p in text.split(":")]
     except ValueError as exc:
         raise ConfigError(f"invalid k range {text!r}: {exc}") from exc
     if len(numbers) == 1:
-        return numbers
+        numbers *= 2
     if len(numbers) == 2:
-        start, end, step = numbers[0], numbers[1], 1
-    elif len(numbers) == 3:
-        start, end, step = numbers
-    else:
+        numbers.append(1)
+    if len(numbers) != 3:
         raise ConfigError(f"invalid k range {text!r}; expected start:end:step")
+    start, end, step = numbers
     if step < 1 or start < 1 or end < start:
         raise ConfigError(f"invalid k range {text!r}; need 1 <= start <= end and step >= 1")
+    last = end - (end - start) % step
+    if bands is not None and last > bands:
+        raise ConfigError(f"sweep k must be at most the cube's {bands} bands, got {last} from {text!r}")
     return list(range(start, end + 1, step))
 
 
@@ -102,13 +107,15 @@ def cmd_train(args):
     cube = scale_unit(load_cube(args.input))
     if args.variant == "conv":
         samples = extract_patches(cube, args.a, args.t)
+        source = {"kind": "patches", "window": args.a, "stride": args.t}
     else:
         samples = extract_pixels(cube)
+        source = {"kind": "pixels", "window": None, "stride": None}
     cfg = TrainConfig(l1_coeff=args.l1, learning_rate=args.lr, max_epochs=args.maxiter,
                       batch_size=args.batch_size, seed=args.seed)
     k = args.k if args.k is not None else cube.bands
     _, result = train(samples, args.variant, cfg, k=k)
-    result.config["input"] = os.path.basename(args.input)
+    result.config.update(input=os.path.basename(args.input), **source)
     result.save_json(args.out_prefix + ".json")
     _write_csv(args.out_prefix + "_loss.csv", "epoch,loss", enumerate(result.loss_trace, 1))
     _write_csv(args.out_prefix + "_weights.csv",
@@ -130,7 +137,7 @@ def cmd_metrics(args):
     if args.k is None:
         k_values = list(range(2, min(10, cube.bands) + 1, 2))
     else:
-        k_values = parse_k_range(args.k)
+        k_values = parse_k_range(args.k, cube.bands)
     entropies = entropy_table(cube, args.n_bins)
     divergences = msd_sweep(cube, ranking, k_values, args.n_bins)
     entropy_path = args.out_prefix + "_entropy.csv"
@@ -150,8 +157,9 @@ def cmd_eval(args):
     if cube.ground_truth is None:
         raise DataError(f"cube {args.input} has no ground truth; evaluation needs labeled pixels")
     selectors = {}
-    # Rows and summaries are keyed by selector name, so a repeated name would merge two selectors.
-    taken = {name for name, on in (("variance", args.variance_baseline), ("random", args.include_random)) if on}
+    # Rows and summaries are keyed by selector name, so a repeated name would merge two
+    # selectors (``sweep`` itself keeps ``random`` for its baseline).
+    taken = {"variance"} if args.variance_baseline else set()
     for item in args.selection or []:
         if "=" not in item:
             raise ConfigError(f"--selection expects name=path, got {item!r}")
@@ -164,7 +172,7 @@ def cmd_eval(args):
         selectors["variance"] = variance_rank(cube, cube.bands).ranking
     if not selectors and not args.include_random:
         raise ConfigError("no selectors given; pass --selection, --variance-baseline, or --include-random")
-    k_values = parse_k_range(args.k)
+    k_values = parse_k_range(args.k, cube.bands)
     rows, aggregated = sweep(cube, selectors, k_values, args.runs,
                              train_fraction=args.train_fraction, k_neighbors=args.knn,
                              base_seed=args.seed, include_random=args.include_random)

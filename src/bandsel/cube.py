@@ -26,10 +26,6 @@ from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
 
 MAGIC = b"HSICUBE1"
 
-# Standard water-absorption exclusion for 224-band AVIRIS Indian Pines
-# scenes (0-based): bands 104-108, 150-163 and 220-224 in 1-based counting.
-INDIAN_PINES_DROP_BANDS = tuple(range(103, 108)) + tuple(range(149, 163)) + tuple(range(219, 224))
-
 
 @dataclass
 class HsiCube:
@@ -107,7 +103,7 @@ def load_cube(path):
         raise FormatError(f"truncated header at offset {offset}: need {hlen} bytes")
     try:
         header = json.loads(data[offset : offset + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, deep nesting
         raise FormatError(f"unparseable header at offset {offset}: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"header at offset {offset} is not a JSON object")
@@ -115,9 +111,11 @@ def load_cube(path):
     try:
         rows, cols, bands = header["rows"], header["cols"], header["bands"]
         dtype = header["dtype"]
-        has_gt = bool(header["has_gt"])
+        has_gt = header["has_gt"]
     except KeyError as exc:
         raise FormatError(f"header missing field {exc}") from exc
+    if not isinstance(has_gt, bool):
+        raise FormatError(f"has_gt in header must be true or false, got {has_gt!r}")
     if not all(_is_int(v) for v in (rows, cols, bands)):
         raise FormatError(f"cube dimensions must be integers, got {rows!r}x{cols!r}x{bands!r} in header")
     if dtype != "f32":
@@ -150,33 +148,6 @@ def load_cube(path):
     return HsiCube(values, band_labels=labels, ground_truth=gt)
 
 
-def load_labels_csv(path, rows, cols):
-    """Read (row, col, label) CSV into a rows x cols uint32 label image.
-
-    Lines starting with ``#`` and a ``row,col,label`` header line are
-    skipped; unmentioned pixels stay 0 (unlabeled).
-    """
-    labels = np.zeros((rows, cols), dtype=np.uint32)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and not parts[0].lstrip("-").isdigit():
-                continue
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected row,col,label, got {line!r}")
-            try:
-                r, c, lab = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer field in {line!r}") from exc
-            if not (0 <= r < rows and 0 <= c < cols) or lab < 0:
-                raise DataError(f"line {lineno}: pixel ({r},{c}) or label {lab} out of range")
-            labels[r, c] = lab
-    return labels
-
-
 def scale_unit(cube):
     """Affine-map the whole cube so its global minimum is 0 and maximum is 1.
 
@@ -194,46 +165,13 @@ def scale_unit(cube):
     return HsiCube(scaled, band_labels=cube.band_labels, ground_truth=cube.ground_truth)
 
 
-def exclude_bands(cube, drop_list):
-    """Remove the listed band indices; surviving original labels are recorded."""
-    drop = sorted(set(int(i) for i in drop_list))
-    for i in drop:
-        if not 0 <= i < cube.bands:
-            raise ConfigError(f"band index {i} out of range for {cube.bands}-band cube")
-    keep = np.array([i for i in range(cube.bands) if i not in set(drop)], dtype=np.int64)
-    labels = cube.band_labels if cube.band_labels is not None else np.arange(cube.bands)
-    return HsiCube(
-        cube.values[:, :, keep],
-        band_labels=np.asarray(labels)[keep],
-        ground_truth=cube.ground_truth,
-    )
-
-
-@dataclass
-class SampleSet:
-    """Training samples: flat spectra [S, b] or square patches [S, a, a, b]."""
-
-    kind: str
-    samples: np.ndarray
-    window: int | None = None
-    stride: int | None = None
-
-    @property
-    def bands(self):
-        return self.samples.shape[-1]
-
-    def __len__(self):
-        return self.samples.shape[0]
-
-
 def extract_pixels(cube):
-    """All spectral vectors in row-major pixel order: S = rows * cols."""
-    flat = cube.values.reshape(cube.rows * cube.cols, cube.bands).copy()
-    return SampleSet(kind="pixels", samples=flat)
+    """All spectral vectors [S, bands] in row-major pixel order: S = rows * cols."""
+    return cube.values.reshape(cube.rows * cube.cols, cube.bands).copy()
 
 
 def extract_patches(cube, window, stride):
-    """Square patches from a sliding window.
+    """Square patches [S, a, a, bands] from a sliding window.
 
     Offsets are (i * stride, j * stride) for every placement where the
     window fits, giving (floor((rows - a) / t) + 1) * (floor((cols - a) / t) + 1)
@@ -247,5 +185,4 @@ def extract_patches(cube, window, stride):
     views = np.lib.stride_tricks.sliding_window_view(cube.values, (a, a), axis=(0, 1))
     sub = views[::t, ::t]  # [n_i, n_j, bands, a, a]
     n_i, n_j = sub.shape[0], sub.shape[1]
-    patches = sub.transpose(0, 1, 3, 4, 2).reshape(n_i * n_j, a, a, cube.bands).copy()
-    return SampleSet(kind="patches", samples=patches, window=a, stride=t)
+    return sub.transpose(0, 1, 3, 4, 2).reshape(n_i * n_j, a, a, cube.bands).copy()

@@ -179,13 +179,16 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
     ``selectors`` maps a name to a band ranking (any sequence at least as
     long as max k). Each run r uses seed base_seed + r for its split, so
     selectors are compared on identical splits. With ``include_random`` an
-    extra selector draws a fresh uniform-random band subset per run and k.
+    extra selector named ``random`` (so no ranking may take that name)
+    draws a fresh uniform-random band subset per run and k.
     Returns (rows, aggregated): rows are (selector, k, run_seed, oa, aa,
     kappa); aggregated are (selector, k, mean, std) triples for each index
     over the runs (population std, zero for a single run).
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    if include_random and "random" in selectors:
+        raise ConfigError("selector name 'random' is taken by the random baseline")
     k_values = [int(k) for k in k_values]
     for k in k_values:
         if not 1 <= k <= cube.bands:

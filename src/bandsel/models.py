@@ -68,9 +68,6 @@ class _BandSelector:
         self.bands = int(bands)
         self.bam = bam
         self.rec = rec
-        last = bam.layers[-1]
-        if getattr(last, "activation", None) != "sigmoid" or getattr(last, "out_dim", None) != self.bands:
-            raise ConfigError("attention branch must end in a sigmoid layer of width = band count")
         owners = {f"{branch}.layer{i}.{field}": (layer, field)
                   for branch, stack in (("bam", bam), ("rec", rec))
                   for i, layer in enumerate(stack.layers)

@@ -1,6 +1,7 @@
 """Dense, convolutional and pooling layers with hand-written gradients.
 
-Arrays are the tensor carrier throughout: C-ordered float64 ndarrays.
+Arrays are the tensor carrier throughout: C-ordered float64 ndarrays, which
+the layers take as given (the model casts its batch once).
 Each layer with parameters names them in the class tuple ``param_fields``;
 every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
 layer belongs to a model, both are views into the model's flat ``params`` and
@@ -83,7 +84,6 @@ class DenseLayer:
         self._out = None
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"dense layer expects input [batch, {self.in_dim}], got shape {tuple(x.shape)}"
@@ -157,7 +157,6 @@ class Conv2DLayer:
         self._out = None
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise DimensionError(
                 f"conv layer expects input [batch, h, w, {self.in_channels}], got shape {tuple(x.shape)}"
@@ -184,7 +183,6 @@ class GlobalAveragePool:
         self._shape = None
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] < 1 or x.shape[2] < 1:
             raise DimensionError(f"global pool expects [batch, h, w, c] with h, w >= 1, got {tuple(x.shape)}")
         self._shape = x.shape

@@ -30,23 +30,12 @@ class SelectionResult:
     config: dict = field(default_factory=dict)
     weights_history: np.ndarray | None = None
 
-    def to_json(self):
-        """Serialize the result (without weights history) to a JSON string."""
-        payload = {
-            "ranking": [int(i) for i in self.ranking],
-            "top_k": [int(i) for i in self.top_k],
-            "averaged_weights": [float(w) for w in self.averaged_weights],
-            "loss_trace": [float(v) for v in self.loss_trace],
-            "config": self.config,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text):
-        """Parse a result written by :meth:`to_json`; FormatError if malformed."""
+        """Parse a result written by :meth:`save_json`; FormatError if malformed."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
             raise FormatError(f"selection result is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise FormatError("selection result must be a JSON object")
@@ -64,12 +53,20 @@ class SelectionResult:
                 loss_trace=list(payload["loss_trace"]),
                 config=dict(payload.get("config", {})),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed selection result: {exc}") from exc
 
     def save_json(self, path):
+        """Write the result (without weights history) as indented, key-sorted JSON."""
+        payload = {
+            "ranking": [int(i) for i in self.ranking],
+            "top_k": [int(i) for i in self.top_k],
+            "averaged_weights": [float(w) for w in self.averaged_weights],
+            "loss_trace": [float(v) for v in self.loss_trace],
+            "config": self.config,
+        }
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod

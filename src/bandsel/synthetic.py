@@ -47,8 +47,8 @@ class SynthSpec:
                 raise ConfigError(f"informative index {i} out of range for {self.bands} bands")
         if self.rows < 1 or self.cols < 1 or self.bands < 1:
             raise ConfigError(f"cube dimensions must be positive, got {self.rows}x{self.cols}x{self.bands}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be non-negative, got {self.noise_sigma}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         if self.classes < 0 or self.classes == 1:
             raise ConfigError(f"classes must be 0 or >= 2, got {self.classes}")
 

@@ -9,7 +9,7 @@ set (not the last batch) and the bands are ranked by that average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,25 +38,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l1_coeff < 0:
-            raise ConfigError(f"l1 coefficient must be >= 0, got {self.l1_coeff}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.l1_coeff) and self.l1_coeff >= 0):
+            raise ConfigError(f"l1 coefficient must be finite and >= 0, got {self.l1_coeff}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"epoch count must be >= 1, got {self.max_epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-
-    def snapshot(self, **extra):
-        base = {
-            "l1_coeff": self.l1_coeff,
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-        base.update(extra)
-        return base
 
 
 def _full_averaged_weights(model, samples):
@@ -68,13 +57,13 @@ def _full_averaged_weights(model, samples):
     return total / samples.shape[0]
 
 
-def train(sample_set, variant, cfg, *, k=None, model_kwargs=None):
-    """Run the full selection procedure on a sample set.
+def train(samples, variant, cfg, *, k=None, model_kwargs=None):
+    """Run the full selection procedure on spectra [S, b] or patches [S, a, a, b].
 
     Returns (model, SelectionResult). ``k`` defaults to the band count so
     ``top_k`` equals the full ranking unless a subset size is requested.
     """
-    samples = np.asarray(getattr(sample_set, "samples", sample_set), dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 1:
         raise DimensionError("sample set is empty")
     bands = samples.shape[-1]
@@ -112,15 +101,7 @@ def train(sample_set, variant, cfg, *, k=None, model_kwargs=None):
     # Final weights always come from one full pass over every sample.
     averaged = _full_averaged_weights(model, samples)
 
-    config = cfg.snapshot(
-        variant=variant,
-        bands=bands,
-        k=k,
-        batch_size=batch_size,
-        kind=getattr(sample_set, "kind", "array"),
-        window=getattr(sample_set, "window", None),
-        stride=getattr(sample_set, "stride", None),
-    )
+    config = {**asdict(cfg), "variant": variant, "bands": bands, "k": k, "batch_size": batch_size}
     result = select_top_k(averaged, k, loss_trace=loss_trace, config=config,
                            weights_history=np.stack(weights_history))
     return model, result

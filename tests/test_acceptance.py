@@ -189,13 +189,13 @@ def test_criterion_7_sampling_contracts():
     for rows, cols in ((20, 20), (17, 13), (9, 16)):
         cube = HsiCube(rng.random((rows, cols, 3)))
         pixels = extract_pixels(cube)
-        assert pixels.samples.shape[0] == rows * cols
+        assert pixels.shape[0] == rows * cols
         for a in range(1, 9):
             for t in range(1, 9):
                 got = extract_patches(cube, a, t)
                 offsets = patch_offsets_oracle(rows, cols, a, t)
-                assert got.samples.shape[0] == len(offsets), (rows, cols, a, t)
-                for patch, (i, j) in zip(got.samples, offsets):
+                assert got.shape[0] == len(offsets), (rows, cols, a, t)
+                for patch, (i, j) in zip(got, offsets):
                     np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
     announce(7, "pixel counts and patch enumeration agree with exhaustive oracles "
                 "for all window/stride pairs up to 8 on cubes up to 20x20")

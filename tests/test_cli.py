@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,14 @@ class TestKRange:
             with pytest.raises(ConfigError):
                 parse_k_range(bad)
 
+    def test_largest_value_is_checked_against_the_band_count(self):
+        from bandsel.errors import ConfigError
+
+        assert parse_k_range("2:7:2", 6) == [2, 4, 6]
+        for bad in ("7", "2:8:2", "2:1000000000000"):
+            with pytest.raises(ConfigError, match="6 bands"):
+                parse_k_range(bad, 6)
+
 
 class TestSynth:
     def test_writes_cube_and_sidecar_with_planted_indices(self, tmp_path):
@@ -94,6 +104,33 @@ class TestSynth:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr=nan"], ["train", "--lr=inf"], ["train", "--l1=nan"], ["train", "--l1=inf"],
+    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=nan"],
+    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=inf"],
+], ids=["lr-nan", "lr-inf", "l1-nan", "l1-inf", "noise-sigma-nan", "noise-sigma-inf"])
+def test_non_finite_float_flag_is_a_config_error(tmp_path, capsys, argv):
+    cube = make_cube(tmp_path, rows=6, cols=5, bands=8)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    target = ["--out", out + ".hsic"] if argv[0] == "synth" else ["--input", str(cube), "--out-prefix", out]
+    assert main([*argv, *target]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["metrics", "eval"])
+def test_huge_k_range_is_rejected_before_it_is_built(tmp_path, capsys, command):
+    cube = make_cube(tmp_path)
+    capsys.readouterr()
+    extra = ["--include-random", "--runs", "1"] if command == "eval" else []
+    code = main([command, "--input", str(cube), *extra, "--k=2:1000000000000",
+                 "--out-prefix", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sweep k")
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestTrain:
@@ -304,6 +341,10 @@ BAD_RANKINGS = {
     "missing_top_k": json.dumps({"ranking": list(range(8)),
                                  "averaged_weights": [0.5] * 8, "loss_trace": [1.0]}).encode(),
     "not_utf8": b"\xff\xfe{",
+    "deeply_nested": b"[" * 100_000,
+    "over_long_integer": b'{"ranking": 1' + b"0" * 5000 + b"}",
+    "weight_beyond_float_range": json.dumps({"ranking": list(range(8)), "top_k": [0, 1],
+                                             "averaged_weights": [10**400] * 8, "loss_trace": [1.0]}).encode(),
 }
 
 
@@ -325,7 +366,7 @@ def test_bad_ranking_file_exits_3_without_traceback(tmp_path, capsys, case, comm
 
 
 def cube_file_bytes(header, values):
-    blob = json.dumps(header).encode()
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
     return MAGIC + struct.pack("<I", len(blob)) + blob + np.asarray(values, dtype="<f4").tobytes()
 
 
@@ -339,6 +380,10 @@ BAD_CUBES = {
     "band_labels_wrong_length": cube_file_bytes({**HEADER, "band_labels": [0, 1, 2]}, PAYLOAD),
     "band_labels_beyond_int64": cube_file_bytes({**HEADER, "band_labels": [0, 1, 2, 2**63]}, PAYLOAD),
     "all_nan_payload": cube_file_bytes(HEADER, np.full(24, np.nan)),
+    "header_deeply_nested": cube_file_bytes(b"[" * 100_000, PAYLOAD),
+    "header_over_long_integer": cube_file_bytes(b'{"rows": 1' + b"0" * 5000 + b"}", PAYLOAD),
+    # With a label payload, so only the has_gt check can reject it.
+    "has_gt_a_string": cube_file_bytes({**HEADER, "has_gt": "false"}, PAYLOAD) + np.ones(6, "<u4").tobytes(),
 }
 
 
@@ -392,6 +437,16 @@ def mutated_cube(draw):
     return bytes(data)
 
 
+def run_quietly(argv):
+    """``main(argv)`` with stdout, stderr and warnings captured; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_cube())
 def test_mutated_cube_exits_cleanly(raw):
@@ -402,10 +457,125 @@ def test_mutated_cube_exits_cleanly(raw):
         with open(path, "wb") as fh:
             fh.write(raw)
         for argv in argvs:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main([*argv, "--input", path, "--out-prefix", os.path.join(tmp, "out")])
+            code, err = run_quietly([*argv, "--input", path, "--out-prefix", os.path.join(tmp, "out")])
             assert code in (0, 2, 3)
-            assert code == 0 or err.getvalue().startswith("error:")
+            assert code == 0 or err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def fuzz_cube(tmp_path_factory):
+    """A labeled 6x5x8 synthetic cube shared by the fuzz tests below."""
+    return str(make_cube(tmp_path_factory.mktemp("fuzz"), rows=6, cols=5, bands=8))
+
+
+def assert_clean_failure(code, err, out_dir):
+    """A non-zero exit prints ``error:`` first, no traceback, and leaves no output file behind."""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not os.listdir(out_dir), (code, err)
+
+
+SELECTION = {"ranking": [3, 1, 4, 0, 5, 7, 2, 6], "top_k": [3, 1], "averaged_weights": [0.5] * 8,
+             "loss_trace": [1.0], "config": {"variant": "fc"}}
+
+
+@st.composite
+def mutated_selection(draw):
+    """A valid selection result for the fuzz cube with one kind of damage."""
+    kind = draw(st.sampled_from(["field", "drop_field", "ranking", "long_number", "nested", "bytes"]))
+    if kind == "field":
+        field = draw(st.sampled_from(list(SELECTION)))
+        value = draw(JSON_VALUES | st.lists(st.integers(-10**400, 10**400), max_size=8))
+        return json.dumps({**SELECTION, field: value}).encode()
+    if kind == "drop_field":
+        field = draw(st.sampled_from(list(SELECTION)))
+        return json.dumps({k: v for k, v in SELECTION.items() if k != field}).encode()
+    if kind == "ranking":
+        return json.dumps({**SELECTION, "ranking": draw(st.lists(st.integers(-2, 9), max_size=10))}).encode()
+    if kind == "long_number":
+        field = draw(st.sampled_from(list(SELECTION)))
+        digits = b"1" + b"0" * draw(st.integers(0, 5000))
+        return json.dumps({**SELECTION, field: "@"}).encode().replace(b'"@"', digits)
+    if kind == "nested":
+        return draw(st.sampled_from([b"[", b'{"a":'])) * draw(st.integers(1, 5000))
+    data = bytearray(json.dumps(SELECTION).encode())
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)),
+                                   min_size=1, max_size=8)):
+        data[pos] = byte
+    return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+@settings(max_examples=100)
+@given(raw=mutated_selection())
+def test_mutated_selection_exits_cleanly(fuzz_cube, raw):
+    """A damaged ranking file makes ``metrics`` and ``eval`` exit 0 or 3, never raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sel.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
+        for argv in (["metrics", "--ranking", path, "--k", "2:3"],
+                     ["eval", "--selection", f"net={path}", "--k", "2", "--runs", "1"]):
+            code, err = run_quietly([*argv, "--input", fuzz_cube, "--out-prefix", os.path.join(out_dir, "o")])
+            assert code in (0, 3)
+            if code:
+                assert_clean_failure(code, err, out_dir)
+            else:
+                for name in os.listdir(out_dir):
+                    os.remove(os.path.join(out_dir, name))
+
+
+@settings(max_examples=150)
+@given(text=st.text(alphabet="0123456789:-+ ", max_size=12), command=st.sampled_from(["metrics", "eval"]))
+def test_fuzzed_k_range_exits_cleanly(fuzz_cube, text, command):
+    """Any ``--k`` string exits 0 with every k in range, or exits 2 and writes nothing."""
+    lowest, argv, table, column = {
+        "metrics": (2, ["metrics"], "_msd.csv", 0),
+        "eval": (1, ["eval", "--include-random", "--runs", "1"], "_runs.csv", 1),
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "o")
+        code, err = run_quietly([*argv, f"--k={text}", "--input", fuzz_cube, "--out-prefix", prefix])
+        assert code in (0, 2)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            _, rows = read_table(Path(prefix + table))
+            ks = {int(row[column]) for row in rows}
+            assert ks and lowest <= min(ks) and max(ks) <= 8
+
+
+FLOAT_FLAGS = {
+    "--lr": lambda v: v > 0,
+    "--l1": lambda v: v >= 0,
+    "--noise-sigma": lambda v: v >= 0,
+    "--train-fraction": lambda v: 0 < v < 1,
+}
+
+
+@settings(max_examples=120)
+@given(flag=st.sampled_from(sorted(FLOAT_FLAGS)),
+       value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
+    """A non-finite or out-of-range float flag exits 2 and writes nothing; others run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o")
+        train = ["train", "--input", fuzz_cube, "--maxiter", "1", "--out-prefix", out]
+        argv = {
+            "--lr": train,
+            "--l1": train,
+            "--noise-sigma": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
+                              "--out", out + ".hsic"],
+            "--train-fraction": ["eval", "--input", fuzz_cube, "--include-random", "--k", "2", "--runs", "1",
+                                 "--out-prefix", out],
+        }[flag]
+        code, err = run_quietly([*argv, f"{flag}={value!r}"])
+        if not (math.isfinite(value) and FLOAT_FLAGS[flag](value)):
+            assert code == 2
+            assert_clean_failure(code, err, tmp)
+        elif flag in ("--lr", "--l1"):
+            # A huge but finite rate or coefficient may overflow training: exit 4.
+            assert code in (0, 4)
+            assert code == 0 or err.startswith("error:")
+        else:
+            assert code == 0

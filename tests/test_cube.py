@@ -1,19 +1,9 @@
-"""Cube container, file round trips, scaling, band exclusion, and sampling."""
+"""Cube container, file round trips, scaling, and sampling."""
 
 import numpy as np
 import pytest
 
-from bandsel.cube import (
-    INDIAN_PINES_DROP_BANDS,
-    HsiCube,
-    exclude_bands,
-    extract_patches,
-    extract_pixels,
-    load_cube,
-    load_labels_csv,
-    save_cube,
-    scale_unit,
-)
+from bandsel.cube import HsiCube, extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
 
 from oracles import patch_offsets_oracle
@@ -81,18 +71,6 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="magic"):
             load_cube(path)
 
-    def test_labels_csv(self, tmp_path):
-        path = tmp_path / "gt.csv"
-        path.write_text("row,col,label\n0,0,3\n1,2,1\n# comment\n")
-        labels = load_labels_csv(path, 2, 3)
-        assert labels[0, 0] == 3 and labels[1, 2] == 1 and labels.sum() == 4
-
-    def test_labels_csv_out_of_range(self, tmp_path):
-        path = tmp_path / "gt.csv"
-        path.write_text("5,0,1\n")
-        with pytest.raises(DataError):
-            load_labels_csv(path, 2, 2)
-
 
 class TestScaleUnit:
     def test_eight_bit_range_maps_to_unit_interval(self):
@@ -119,84 +97,49 @@ class TestScaleUnit:
             scale_unit(HsiCube(values))
 
 
-class TestExcludeBands:
-    def test_empty_drop_list_is_identity(self):
-        cube = random_cube(np.random.default_rng(5), 3, 3, 6)
-        out = exclude_bands(cube, [])
-        np.testing.assert_array_equal(out.values, cube.values)
-        np.testing.assert_array_equal(out.band_labels, np.arange(6))
-
-    def test_indian_pines_drop_list_yields_200_bands(self):
-        cube = HsiCube(np.zeros((2, 2, 224)))
-        assert len(INDIAN_PINES_DROP_BANDS) == 24
-        out = exclude_bands(cube, INDIAN_PINES_DROP_BANDS)
-        assert out.bands == 200
-
-    def test_band_labels_record_survivors(self):
-        cube = random_cube(np.random.default_rng(6), 2, 2, 5)
-        out = exclude_bands(cube, [0])
-        np.testing.assert_array_equal(out.band_labels, [1, 2, 3, 4])
-
-    def test_surviving_values_unchanged(self):
-        cube = random_cube(np.random.default_rng(7), 4, 3, 6)
-        out = exclude_bands(cube, [1, 4])
-        np.testing.assert_array_equal(out.values, cube.values[:, :, [0, 2, 3, 5]])
-
-    def test_composes_with_existing_labels(self):
-        cube = HsiCube(np.zeros((2, 2, 4)), band_labels=[10, 20, 30, 40])
-        out = exclude_bands(cube, [2])
-        np.testing.assert_array_equal(out.band_labels, [10, 20, 40])
-
-    def test_out_of_range_rejected(self):
-        cube = random_cube(np.random.default_rng(8), 2, 2, 3)
-        with pytest.raises(ConfigError):
-            exclude_bands(cube, [3])
-
-
 class TestExtractPixels:
     def test_count_is_rows_times_cols(self):
         cube = random_cube(np.random.default_rng(9), 2, 3, 4)
         samples = extract_pixels(cube)
-        assert samples.samples.shape == (6, 4)
-        assert samples.kind == "pixels"
+        assert samples.shape == (6, 4)
 
     def test_first_sample_is_pixel_zero_zero(self):
         cube = random_cube(np.random.default_rng(10), 3, 3, 5)
         samples = extract_pixels(cube)
-        np.testing.assert_array_equal(samples.samples[0], cube.values[0, 0])
+        np.testing.assert_array_equal(samples[0], cube.values[0, 0])
 
     def test_every_sample_matches_its_pixel(self):
         cube = random_cube(np.random.default_rng(11), 4, 5, 3)
         samples = extract_pixels(cube)
         for r in range(4):
             for c in range(5):
-                np.testing.assert_array_equal(samples.samples[r * 5 + c], cube.values[r, c])
+                np.testing.assert_array_equal(samples[r * 5 + c], cube.values[r, c])
 
     def test_regrouping_reproduces_cube(self):
         cube = random_cube(np.random.default_rng(12), 6, 7, 2)
         samples = extract_pixels(cube)
-        np.testing.assert_array_equal(samples.samples.reshape(6, 7, 2), cube.values)
+        np.testing.assert_array_equal(samples.reshape(6, 7, 2), cube.values)
 
 
 class TestExtractPatches:
     def test_whole_cube_window_gives_single_patch(self):
         cube = random_cube(np.random.default_rng(13), 5, 5, 2)
         out = extract_patches(cube, 5, 1)
-        assert out.samples.shape == (1, 5, 5, 2)
-        np.testing.assert_array_equal(out.samples[0], cube.values)
+        assert out.shape == (1, 5, 5, 2)
+        np.testing.assert_array_equal(out[0], cube.values)
 
     def test_five_by_five_hand_enumeration(self):
         cube = random_cube(np.random.default_rng(14), 5, 5, 1)
         out = extract_patches(cube, 3, 2)
-        assert out.samples.shape[0] == 4
+        assert out.shape[0] == 4
         expected_offsets = [(0, 0), (0, 2), (2, 0), (2, 2)]
-        for patch, (i, j) in zip(out.samples, expected_offsets):
+        for patch, (i, j) in zip(out, expected_offsets):
             np.testing.assert_array_equal(patch, cube.values[i : i + 3, j : j + 3])
 
     def test_per_axis_count_formula_on_large_scene(self):
         cube = HsiCube(np.zeros((145, 145, 2)))
         out = extract_patches(cube, 7, 2)
-        assert out.samples.shape[0] == 70 * 70
+        assert out.shape[0] == 70 * 70
 
     def test_counts_match_enumeration_oracle(self):
         rng = np.random.default_rng(15)
@@ -205,8 +148,8 @@ class TestExtractPatches:
             for t in range(1, 9):
                 out = extract_patches(cube, a, t)
                 offsets = patch_offsets_oracle(11, 9, a, t)
-                assert out.samples.shape[0] == len(offsets)
-                for patch, (i, j) in zip(out.samples, offsets):
+                assert out.shape[0] == len(offsets)
+                for patch, (i, j) in zip(out, offsets):
                     np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
 
     def test_oversized_window_rejected(self):

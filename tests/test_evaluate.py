@@ -257,6 +257,13 @@ class TestSweep:
                     expected.append((name, k, seed, rep.oa, rep.aa, rep.kappa))
         assert rows == expected
 
+    def test_selector_named_random_collides_with_the_baseline(self):
+        cube = labeled_cube(np.random.default_rng(16))
+        with pytest.raises(ConfigError, match="random"):
+            sweep(cube, {"random": [0, 1, 2, 3]}, [2], 2, include_random=True)
+        rows, _ = sweep(cube, {"random": [0, 1, 2, 3]}, [2], 2)
+        assert [row[0] for row in rows] == ["random", "random"]
+
     def test_short_ranking_rejected(self):
         cube = labeled_cube(np.random.default_rng(14))
         with pytest.raises(ConfigError):
