@@ -15,6 +15,7 @@ from bandsel.cube import HsiCube
 from bandsel.metrics import (
     band_entropy,
     band_histogram,
+    band_histograms,
     entropy_table,
     msd,
     msd_sweep,
@@ -31,8 +32,10 @@ values[:, :, 8] = 0.5 + 0.002 * rng.random((32, 32))
 values[:, :, 9] = values[:, :, 0]
 cube = HsiCube(values)
 
+# Each band is histogrammed once; the entropy table and the sweep read the counts.
+counts = band_histograms(cube)
 print("band entropies (nats, 256 gray levels):")
-for band, label, entropy in entropy_table(cube):
+for band, label, entropy in entropy_table(counts):
     print(f"  band {band:2d}: {entropy:.3f}")
 
 h0 = band_histogram(cube, 0)
@@ -48,5 +51,5 @@ print(f"msd with the noisy band (8):  {msd(cube, [0, 1, 2, 3, 8]):.3f}")
 # sizes gives the usual divergence-versus-k curve.
 ranking = variance_rank(cube, cube.bands).ranking
 print(f"\nvariance ranking: {ranking}")
-for k, value in msd_sweep(cube, ranking, [2, 4, 6, 8]):
+for k, value in msd_sweep(counts, ranking, [2, 4, 6, 8]):
     print(f"  k={k}: msd={value:.3f}")

@@ -27,7 +27,8 @@ import numpy as np
 from bandsel.cube import extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import BandselError, ConfigError, DataError, NumericError
 from bandsel.evaluate import sweep
-from bandsel.metrics import entropy_table, msd_sweep, variance_rank
+from bandsel.fileio import atomic_write
+from bandsel.metrics import band_histograms, entropy_table, msd_sweep, variance_rank
 from bandsel.selection import SelectionResult
 from bandsel.synthetic import SynthSpec, synth_generate
 from bandsel.training import TrainConfig, train
@@ -60,7 +61,7 @@ def parse_k_range(text, bands=None):
 
 def _write_csv(path, header, rows):
     """Write a header line, then one comma-joined line per row; floats as ``repr``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -68,7 +69,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_sidecar(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -138,8 +139,9 @@ def cmd_metrics(args):
         k_values = list(range(2, min(10, cube.bands) + 1, 2))
     else:
         k_values = parse_k_range(args.k, cube.bands)
-    entropies = entropy_table(cube, args.n_bins)
-    divergences = msd_sweep(cube, ranking, k_values, args.n_bins)
+    counts = band_histograms(cube, args.n_bins)
+    entropies = entropy_table(counts, cube.band_labels)
+    divergences = msd_sweep(counts, ranking, k_values)
     entropy_path = args.out_prefix + "_entropy.csv"
     msd_path = args.out_prefix + "_msd.csv"
     _write_csv(entropy_path, "band_index,original_label,entropy", entropies)

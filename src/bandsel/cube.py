@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
+from bandsel.fileio import atomic_write
 
 MAGIC = b"HSICUBE1"
 
@@ -76,7 +77,7 @@ def save_cube(cube, path):
     if cube.band_labels is not None:
         header["band_labels"] = [int(v) for v in cube.band_labels]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -15,6 +15,10 @@ import numpy as np
 
 from bandsel.errors import ConfigError, DataError, DimensionError
 
+# Distances held per k-NN chunk: 2 MB of float64, which fits a per-core L2
+# cache while the chunk's rows are selected and compared.
+KNN_CHUNK_ELEMENTS = 250_000
+
 
 @dataclass
 class SplitSpec:
@@ -71,8 +75,12 @@ def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
     """Euclidean k-NN majority vote; ties go to the smallest class id.
 
     Callers restrict the pixel matrices to the selected bands beforehand.
-    Neighbor ranking uses a stable sort so equal distances resolve
-    deterministically toward lower training indices.
+    Squared distances are expanded as |a|^2 - 2 a.b + |b|^2 over chunks of
+    about KNN_CHUNK_ELEMENTS distances. Each row keeps its k nearest
+    training pixels by partial selection (``argpartition``); only a row
+    where another training pixel ties the k-th distance (or the k-th
+    distance is NaN) is re-ranked with a stable full sort, so equal
+    distances resolve toward lower training indices.
     """
     train_pixels = np.asarray(train_pixels, dtype=np.float64)
     test_pixels = np.asarray(test_pixels, dtype=np.float64)
@@ -90,12 +98,23 @@ def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
     k = min(k_neighbors, train_pixels.shape[0])
     classes, label_index = np.unique(train_labels, return_inverse=True)
     predictions = np.empty(test_pixels.shape[0], dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(train_pixels.shape[0], 1))
+    chunk = max(1, KNN_CHUNK_ELEMENTS // train_pixels.shape[0])
     train_sq = np.sum(train_pixels ** 2, axis=1)
+    test_sq = np.sum(test_pixels ** 2, axis=1)
     for start in range(0, test_pixels.shape[0], chunk):
         block = test_pixels[start : start + chunk]
-        d2 = np.sum(block ** 2, axis=1)[:, None] - 2.0 * block @ train_pixels.T + train_sq
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        # In place, the same IEEE operations as test_sq - 2.0 * block @ train.T + train_sq.
+        d2 = block @ train_pixels.T
+        d2 *= -2.0
+        d2 += test_sq[start : start + chunk, None]
+        d2 += train_sq
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, nearest[:, k - 1 :], axis=1)
+        # Exactly k distances at or below the k-th one make the nearest set unique;
+        # a tie at the k-th distance or a NaN k-th distance gives another count.
+        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
+        if tied.size:
+            nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         # Classes are sorted, so argmax's first maximum is the smallest tied class id.
         votes = np.zeros((len(block), classes.size), dtype=np.int64)
         np.add.at(votes, (np.arange(len(block))[:, None], label_index[nearest]), 1)

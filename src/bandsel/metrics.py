@@ -14,10 +14,11 @@ floor(v * (n_bins - 1) + 0.5), the round-to-nearest of n_bins gray levels.
 All logarithms are natural. KL divergences are computed on
 epsilon-smoothed probabilities so disjoint supports stay finite.
 
-An MSD sweep histograms each band of the longest prefix once and computes
-one divergence per band pair; each prefix's mean then sums its pairs in
-subset order (row-major over the upper triangle), so every prefix gives
-the value a pair-by-pair loop over that subset would.
+Each band is histogrammed once (``band_histograms``); the entropy table
+and the MSD sweep both read those counts. A sweep computes one divergence
+per band pair of its longest prefix; each prefix's mean then sums its
+pairs in subset order (row-major over the upper triangle), so every
+prefix gives the value a pair-by-pair loop over that subset would.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def msd(cube, band_subset, n_bins=256):
     """
     if len(band_subset) < 2:
         raise ConfigError(f"subset must contain at least 2 bands, got {len(band_subset)}")
-    return msd_sweep(cube, band_subset, [len(band_subset)], n_bins)[0][1]
+    counts = [band_histogram(cube, int(i), n_bins) for i in band_subset]
+    return msd_sweep(counts, range(len(counts)), [len(counts)])[0][1]
 
 
 def variance_rank(cube, k):
@@ -93,17 +95,23 @@ def variance_rank(cube, k):
     return select_top_k(variances, k, config={"selector": "variance"})
 
 
-def entropy_table(cube, n_bins=256):
-    """Rows of (band_index, original_label, entropy) for every band."""
-    labels = cube.band_labels if cube.band_labels is not None else np.arange(cube.bands)
-    rows = []
-    for i in range(cube.bands):
-        rows.append((i, int(labels[i]), band_entropy(band_histogram(cube, i, n_bins))))
-    return rows
+def band_histograms(cube, n_bins=256):
+    """Histogram counts of every band, one ``band_histogram`` row per band: [bands, n_bins]."""
+    return np.array([band_histogram(cube, i, n_bins) for i in range(cube.bands)])
 
 
-def msd_sweep(cube, ranking, k_values, n_bins=256):
-    """Rows of (k, msd of the top-k prefix of ranking) for each requested k."""
+def entropy_table(counts, band_labels=None):
+    """Rows of (band_index, original_label, entropy), one per row of the band histograms."""
+    labels = band_labels if band_labels is not None else np.arange(len(counts))
+    return [(i, int(labels[i]), band_entropy(row)) for i, row in enumerate(counts)]
+
+
+def msd_sweep(counts, ranking, k_values):
+    """Rows of (k, msd of the top-k prefix of ranking) for each requested k.
+
+    ``counts`` holds one histogram per band (``band_histograms``) and
+    ``ranking`` indexes its rows.
+    """
     ranking = [int(i) for i in ranking]
     k_values = [int(k) for k in k_values]
     for k in k_values:
@@ -111,7 +119,10 @@ def msd_sweep(cube, ranking, k_values, n_bins=256):
             raise ConfigError(f"sweep k must be in [2, {len(ranking)}], got {k}")
     if not k_values:
         return []
-    skl = _skl_matrix([band_histogram(cube, i, n_bins) for i in ranking[: max(k_values)]])
+    top = ranking[: max(k_values)]
+    if not all(0 <= i < len(counts) for i in top):
+        raise ConfigError(f"ranking indexes bands outside the {len(counts)} histograms")
+    skl = _skl_matrix(np.asarray(counts)[top])
     # cumsum adds the row-major pair values left to right, as a pair-by-pair
     # loop does; np.sum's pairwise order would change the last bits.
     return [(k, 2.0 * float(np.cumsum(skl[:k, :k][np.triu_indices(k, 1)])[-1]) / (k * (k - 1)))

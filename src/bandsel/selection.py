@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from bandsel.errors import ConfigError, DimensionError, FormatError
+from bandsel.fileio import atomic_write
 
 
 @dataclass
@@ -32,7 +33,11 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, text):
-        """Parse a result written by :meth:`save_json`; FormatError if malformed."""
+        """Parse a result written by :meth:`save_json`; FormatError if malformed.
+
+        ``top_k`` must be a prefix of ``ranking``, ``averaged_weights`` one
+        finite number per ranked band, and ``loss_trace`` finite numbers.
+        """
         try:
             payload = json.loads(text)
         except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
@@ -45,16 +50,18 @@ class SelectionResult:
         for key in ("ranking", "top_k"):
             if not isinstance(payload[key], list) or not all(type(v) is int for v in payload[key]):
                 raise FormatError(f"selection result field {key!r} must be a list of integers")
-        try:
-            return cls(
-                ranking=list(payload["ranking"]),
-                top_k=list(payload["top_k"]),
-                averaged_weights=np.asarray(payload["averaged_weights"], dtype=np.float64),
-                loss_trace=list(payload["loss_trace"]),
-                config=dict(payload.get("config", {})),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"malformed selection result: {exc}") from exc
+        ranking, top_k = payload["ranking"], payload["top_k"]
+        if top_k != ranking[: len(top_k)]:
+            raise FormatError("selection result field 'top_k' must be a prefix of 'ranking'")
+        averaged = _finite_vector(payload, "averaged_weights")
+        if averaged.shape[0] != len(ranking):
+            raise FormatError(f"selection result has {averaged.shape[0]} averaged weights "
+                              f"for {len(ranking)} ranked bands")
+        config = payload.get("config", {})
+        if not isinstance(config, dict):
+            raise FormatError("selection result field 'config' must be a JSON object")
+        return cls(ranking=ranking, top_k=top_k, averaged_weights=averaged,
+                   loss_trace=_finite_vector(payload, "loss_trace").tolist(), config=config)
 
     def save_json(self, path):
         """Write the result (without weights history) as indented, key-sorted JSON."""
@@ -65,7 +72,7 @@ class SelectionResult:
             "loss_trace": [float(v) for v in self.loss_trace],
             "config": self.config,
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -77,6 +84,20 @@ class SelectionResult:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"selection result {path} is not UTF-8 text: {exc}") from exc
         return cls.from_json(text)
+
+
+def _finite_vector(payload, key):
+    """The list of finite JSON numbers under ``key`` as a float64 vector; FormatError otherwise."""
+    values = payload[key]
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise FormatError(f"selection result field {key!r} must be a list of numbers")
+    try:
+        vector = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float range
+        raise FormatError(f"selection result field {key!r}: {exc}") from exc
+    if not np.all(np.isfinite(vector)):
+        raise FormatError(f"selection result field {key!r} must hold finite numbers")
+    return vector
 
 
 def select_top_k(averaged, k, *, loss_trace=None, config=None, weights_history=None):

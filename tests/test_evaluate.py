@@ -1,9 +1,12 @@
 """Split, k-NN, report, and sweep behavior of the evaluation harness."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandsel import evaluate
 from bandsel.cube import HsiCube
@@ -135,6 +138,36 @@ class TestKnn:
             for k in (1, 3, 5):
                 pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
                 np.testing.assert_array_equal(pred, knn_oracle(train_x, train_y, test_x, k))
+
+    @given(data=st.data())
+    def test_matches_oracle_on_tie_heavy_inputs(self, data):
+        # Pixels in {0, 1, 2} make exact distance ties common, duplicated training rows
+        # tie at every distance, and small chunk budgets split the test rows across chunks.
+        bands = data.draw(st.integers(1, 3), label="bands")
+
+        def pixel_rows(n):
+            return st.lists(st.lists(st.integers(0, 2), min_size=bands, max_size=bands),
+                            min_size=n, max_size=n)
+
+        n_train = data.draw(st.integers(1, 20), label="n_train")
+        train_x = np.array(data.draw(pixel_rows(n_train), label="train"), dtype=np.float64)
+        copies = data.draw(st.lists(st.integers(0, n_train - 1), max_size=8), label="duplicates")
+        train_x = np.vstack([train_x, train_x[copies]])
+        train_y = np.array(data.draw(st.lists(st.sampled_from([0, 3, 7, 42]), min_size=len(train_x),
+                                              max_size=len(train_x)), label="labels"))
+        test_x = np.array(data.draw(pixel_rows(data.draw(st.integers(1, 24), label="n_test")),
+                                    label="test"), dtype=np.float64)
+        k = data.draw(st.integers(1, len(train_x) + 3), label="k")
+        budget = data.draw(st.sampled_from([1, 16, 100, evaluate.KNN_CHUNK_ELEMENTS]), label="chunk")
+        with mock.patch.object(evaluate, "KNN_CHUNK_ELEMENTS", budget):
+            pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
+        np.testing.assert_array_equal(pred, knn_oracle(train_x, train_y, test_x, k))
+
+    def test_nan_test_pixel_ranks_training_pixels_by_index(self):
+        # Every distance is NaN, so the k nearest are the first k training pixels.
+        train_x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        pred = classify_knn(train_x, np.array([2, 1, 0, 0]), np.array([[np.nan], [2.9]]), k_neighbors=2)
+        assert pred.tolist() == [1, 0]
 
     def test_vote_tie_goes_to_smallest_class_id(self):
         train_x = np.array([[0.0], [2.0]])

@@ -10,6 +10,7 @@ from bandsel.errors import ConfigError
 from bandsel.metrics import (
     band_entropy,
     band_histogram,
+    band_histograms,
     msd,
     msd_sweep,
     skl_divergence,
@@ -178,10 +179,16 @@ class TestExports:
         rng = np.random.default_rng(20)
         cube = unit_cube(rng, 8, 8, 7)
         ranking = variance_rank(cube, 7).ranking
-        rows = msd_sweep(cube, ranking, [2, 4, 6], 32)
+        rows = msd_sweep(band_histograms(cube, 32), ranking, [2, 4, 6])
         assert [k for k, _ in rows] == [2, 4, 6]
         for k, value in rows:
             assert value == pytest.approx(msd_oracle(cube.values, ranking[:k], 32), abs=1e-10)
+
+    @pytest.mark.parametrize("ranking", [[0, 7], [-1, 0]])
+    def test_msd_sweep_rejects_a_band_without_a_histogram(self, ranking):
+        counts = band_histograms(unit_cube(np.random.default_rng(21), 4, 4, 7), 16)
+        with pytest.raises(ConfigError):
+            msd_sweep(counts, ranking, [2])
 
     @given(data=st.data())
     def test_msd_sweep_matches_oracle_on_random_rankings(self, data):
@@ -194,7 +201,7 @@ class TestExports:
         ranking = data.draw(st.lists(st.integers(0, bands - 1), min_size=2, max_size=9), label="ranking")
         k_values = data.draw(st.lists(st.integers(2, len(ranking)), min_size=1, max_size=4), label="k")
         n_bins = data.draw(st.sampled_from([2, 8, 64, 256]), label="n_bins")
-        rows_out = msd_sweep(cube, ranking, k_values, n_bins)
+        rows_out = msd_sweep(band_histograms(cube, n_bins), ranking, k_values)
         assert [k for k, _ in rows_out] == k_values
         for k, value in rows_out:
             assert value == pytest.approx(msd_oracle(cube.values, ranking[:k], n_bins), abs=1e-10)

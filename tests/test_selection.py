@@ -1,5 +1,7 @@
 """Averaging, ranking, tie-breaking, and result serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,23 @@ class TestSerialization:
     def test_malformed_json_is_a_format_error(self, text):
         with pytest.raises(FormatError):
             SelectionResult.from_json(text)
+
+    @pytest.mark.parametrize("fields", [
+        {"top_k": [5, 5, 5]},
+        {"top_k": [0, 1]},
+        {"averaged_weights": None},
+        {"averaged_weights": [0.5]},
+        {"averaged_weights": [[0.5, 0.5]]},
+        {"averaged_weights": [0.5, float("nan")]},
+        {"averaged_weights": ["0.5", "0.5"]},
+        {"loss_trace": "ab"},
+        {"loss_trace": [1.0, float("inf")]},
+        {"loss_trace": [True]},
+    ], ids=["top_k_longer_than_ranking", "top_k_not_a_prefix", "weights_null", "weights_too_short",
+            "weights_2d", "weights_nan", "weights_strings", "loss_trace_string", "loss_trace_inf",
+            "loss_trace_bool"])
+    def test_inconsistent_fields_are_a_format_error(self, fields):
+        payload = {"ranking": [1, 0], "top_k": [1], "averaged_weights": [0.5, 0.25], "loss_trace": [2.0]}
+        SelectionResult.from_json(json.dumps(payload))  # the unmodified payload loads
+        with pytest.raises(FormatError):
+            SelectionResult.from_json(json.dumps({**payload, **fields}))
