@@ -19,13 +19,14 @@ spec = SynthSpec(rows=24, cols=24, bands=30, informative=(2, 11, 19, 27),
 cube = scale_unit(synth_generate(spec))
 print(f"cube: {cube.rows}x{cube.cols}x{cube.bands}, planted bands {spec.informative}")
 
-# Pixel spectra are the training samples for the spectral variant.
+# Pixel spectra [S, bands] are the training samples; their shape picks the
+# spectral variant.
 samples = extract_pixels(cube)
 print(f"training samples: {len(samples)} spectra of length {samples.shape[1]}")
 
 # Reference hyperparameters; fewer epochs keep the demo quick.
 cfg = TrainConfig(l1_coeff=1e-2, learning_rate=2e-3, max_epochs=40, seed=0)
-model, result = train(samples, "fc", cfg, k=4)
+model, result = train(samples, cfg, k=4)
 
 print(f"\nloss: epoch 1 = {result.loss_trace[0]:.4f}, "
       f"epoch {len(result.loss_trace)} = {result.loss_trace[-1]:.4f}")

@@ -3,9 +3,10 @@ Spectral-spatial selection with the convolutional variant
 =========================================================
 
 The convolutional selector consumes sliding-window patches instead of
-single spectra: its attention branch pools spatial context before gating
-the bands, and its reconstruction branch is a stride-1 conv encoder /
-decoder that restores the full patch.
+single spectra; ``train`` picks it because the patch array is 4-D. Its
+attention branch pools spatial context before gating the bands, and its
+reconstruction branch is a stride-1 conv encoder / decoder that restores
+the full patch.
 """
 
 from bandsel.cube import extract_patches, scale_unit
@@ -22,7 +23,7 @@ print(f"{len(samples)} patches of shape {samples.shape[1:]}")
 
 cfg = TrainConfig(max_epochs=50, batch_size=8, seed=1)
 model, result = train(
-    samples, "conv", cfg, k=3,
+    samples, cfg, k=3,
     model_kwargs={"bam_conv_channels": 8, "bam_hidden": 16, "rec_channels": (16, 8, 8, 16)},
 )
 

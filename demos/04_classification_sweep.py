@@ -20,7 +20,7 @@ spec = SynthSpec(rows=28, cols=28, bands=24, informative=(3, 9, 16, 21),
 cube = scale_unit(synth_generate(spec))
 
 cfg = TrainConfig(max_epochs=40, seed=2)
-_, learned = train(extract_pixels(cube), "fc", cfg, k=4)
+_, learned = train(extract_pixels(cube), cfg, k=4)
 print(f"learned ranking head: {learned.ranking[:8]} (planted {spec.informative})")
 
 selectors = {

@@ -19,7 +19,6 @@ if _thread_cap:
         os.environ.setdefault(_var, _thread_cap)
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from bandsel.cube import extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import BandselError, ConfigError, DataError, NumericError
 from bandsel.evaluate import sweep
-from bandsel.fileio import atomic_write
+from bandsel.fileio import atomic_write, write_json
 from bandsel.metrics import band_histograms, entropy_table, msd_sweep, variance_rank
 from bandsel.selection import SelectionResult
 from bandsel.synthetic import SynthSpec, synth_generate
@@ -68,12 +67,6 @@ def _write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def _write_sidecar(path, payload):
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_ranking(path, bands):
     """Ranking of a selection result file; DataError unless it permutes the cube's bands."""
     ranking = SelectionResult.load_json(path).ranking
@@ -94,7 +87,7 @@ def cmd_synth(args):
                      seed=args.seed, classes=args.classes)
     cube = synth_generate(spec)
     save_cube(cube, args.out)
-    _write_sidecar(args.out + ".meta.json", {
+    write_json(args.out + ".meta.json", {
         "command": "synth",
         "rows": args.rows, "cols": args.cols, "bands": args.bands,
         "informative": informative, "noise_sigma": args.noise_sigma,
@@ -114,8 +107,7 @@ def cmd_train(args):
         source = {"kind": "pixels", "window": None, "stride": None}
     cfg = TrainConfig(l1_coeff=args.l1, learning_rate=args.lr, max_epochs=args.maxiter,
                       batch_size=args.batch_size, seed=args.seed)
-    k = args.k if args.k is not None else cube.bands
-    _, result = train(samples, args.variant, cfg, k=k)
+    _, result = train(samples, cfg, k=args.k)
     result.config.update(input=os.path.basename(args.input), **source)
     result.save_json(args.out_prefix + ".json")
     _write_csv(args.out_prefix + "_loss.csv", "epoch,loss", enumerate(result.loss_trace, 1))
@@ -123,7 +115,7 @@ def cmd_train(args):
                "epoch," + ",".join(f"band_{j}" for j in range(cube.bands)),
                ((epoch, *row) for epoch, row in enumerate(result.weights_history, 1)))
     print(f"trained {args.variant} selector on {len(samples)} samples; "
-          f"top-{k} bands: {result.top_k[:min(k, 10)]}")
+          f"top-{len(result.top_k)} bands: {result.top_k[:10]}")
     return 0
 
 
@@ -146,7 +138,7 @@ def cmd_metrics(args):
     msd_path = args.out_prefix + "_msd.csv"
     _write_csv(entropy_path, "band_index,original_label,entropy", entropies)
     _write_csv(msd_path, "k,msd", divergences)
-    _write_sidecar(args.out_prefix + "_metrics.meta.json", {
+    write_json(args.out_prefix + "_metrics.meta.json", {
         "command": "metrics", "input": os.path.basename(args.input),
         "n_bins": args.n_bins, "ranking": source, "k": k_values,
     })
@@ -183,7 +175,7 @@ def cmd_eval(args):
     _write_csv(runs_path, "selector,k,run_seed,oa,aa,kappa", rows)
     _write_csv(summary_path, "selector,k,runs,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std",
                ((name, k, args.runs, *stats) for name, k, *stats in aggregated))
-    _write_sidecar(args.out_prefix + "_eval.meta.json", {
+    write_json(args.out_prefix + "_eval.meta.json", {
         "command": "eval", "input": os.path.basename(args.input),
         "selectors": sorted(selectors), "include_random": args.include_random,
         "k": k_values, "runs": args.runs, "train_fraction": args.train_fraction,

@@ -129,16 +129,14 @@ class ClassReport:
     oa: float
     aa: float
     kappa: float
-    per_class_accuracy: np.ndarray
     confusion: np.ndarray
 
 
 def report(true_labels, predicted_labels, n_classes):
     """Confusion matrix, overall/average accuracy, and Cohen's kappa.
 
-    Labels must lie in [0, n_classes). Per-class accuracy is NaN for
-    classes absent from the test set and the average accuracy ignores
-    them.
+    Labels must lie in [0, n_classes). The average accuracy is the mean
+    per-class accuracy over the classes present in the true labels.
     """
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
@@ -165,8 +163,7 @@ def report(true_labels, predicted_labels, n_classes):
         kappa = 1.0 if oa == 1.0 else 0.0
     else:
         kappa = (oa - p_e) / (1.0 - p_e)
-    return ClassReport(oa=float(oa), aa=float(aa), kappa=float(kappa),
-                       per_class_accuracy=per_class, confusion=confusion)
+    return ClassReport(oa=float(oa), aa=float(aa), kappa=float(kappa), confusion=confusion)
 
 
 def _score(cube, train_idx, test_idx, band_subset, k_neighbors):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager, suppress
 
@@ -22,3 +23,10 @@ def atomic_write(path, mode="w", **open_kwargs):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload):
+    """Write ``payload`` atomically as indented, key-sorted JSON with a final newline."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -9,8 +9,9 @@ reconstruction cannot do without keep large weights while redundant bands are
 driven toward zero.
 
 The spectral variant consumes flat spectra [S, bands]; the spectral-spatial
-variant consumes square patches [S, a, a, bands] and broadcasts each sample's
-weight vector across the patch.
+variant consumes patches [S, a, a, bands] and broadcasts each sample's weight
+vector across the patch. Each variant's first layer rejects the other's
+input shape.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ class _BandSelector:
     ``params`` and every gradient in the matching ``grads``; ``slices`` maps
     names such as ``rec.layer3.weights`` to their slice of both vectors. The
     layers' parameter and ``grad_*`` attributes are views into those vectors.
+    Each variant names itself in ``kind`` and sets its ``default_batch``.
     """
-
-    kind = ""
 
     def __init__(self, bands, bam, rec):
         self.bands = int(bands)
@@ -101,8 +101,7 @@ class _BandSelector:
     def backprop(self, batch, l1_coeff):
         """Forward plus backward pass of the full training objective.
 
-        Writes every parameter gradient into ``grads`` and returns
-        (loss, per-sample weights).
+        Writes every parameter gradient into ``grads`` and returns the loss.
         """
         batch = self._check_batch(batch)
         weights, x_hat = self.forward(batch)
@@ -113,7 +112,7 @@ class _BandSelector:
         # patch's weight gradient sums over its pixels.
         d_weights = (d_z * batch).reshape(n, -1, self.bands).sum(axis=1)
         self.bam.backward(d_weights + l1_coeff * np.sign(weights) / n)
-        return loss, weights
+        return loss
 
     def loss(self, batch, l1_coeff):
         weights, x_hat = self.forward(batch)
@@ -144,18 +143,12 @@ class BandSelectorFC(_BandSelector):
     """
 
     kind = "fc"
+    default_batch = 64
 
-    def __init__(self, bands, bam_hidden=(64, 128), rec_hidden=(64, 128, 256), *, rng=None):
-        rng = np.random.default_rng() if rng is None else rng
+    def __init__(self, bands, bam_hidden=(64, 128), rec_hidden=(64, 128, 256), *, rng):
         bam = _dense_stack([bands, *bam_hidden, bands], rng)
         rec = _dense_stack([bands, *rec_hidden, bands], rng)
         super().__init__(bands, bam, rec)
-
-    def _check_batch(self, batch):
-        batch = super()._check_batch(batch)
-        if batch.ndim != 2:
-            raise DimensionError(f"spectral selector expects [S, {self.bands}], got {tuple(batch.shape)}")
-        return batch
 
 
 class BandSelectorConv(_BandSelector):
@@ -168,10 +161,10 @@ class BandSelectorConv(_BandSelector):
     """
 
     kind = "conv"
+    default_batch = 32
 
     def __init__(self, bands, bam_conv_channels=64, bam_hidden=128,
-                 rec_channels=(128, 64, 64, 128), *, rng=None):
-        rng = np.random.default_rng() if rng is None else rng
+                 rec_channels=(128, 64, 64, 128), *, rng):
         bam = LayerStack([
             Conv2DLayer(bands, bam_conv_channels, 3, activation="relu", rng=rng),
             GlobalAveragePool(),
@@ -187,20 +180,3 @@ class BandSelectorConv(_BandSelector):
             Conv2DLayer(c4, bands, 1, activation="sigmoid", rng=rng),
         ])
         super().__init__(bands, bam, rec)
-
-    def _check_batch(self, batch):
-        batch = super()._check_batch(batch)
-        if batch.ndim != 4 or batch.shape[1] != batch.shape[2]:
-            raise DimensionError(
-                f"patch selector expects [S, a, a, {self.bands}], got {tuple(batch.shape)}"
-            )
-        return batch
-
-
-def build_selector(variant, bands, *, rng=None, **kwargs):
-    """Construct a selector by variant name ('fc' or 'conv')."""
-    if variant == "fc":
-        return BandSelectorFC(bands, rng=rng, **kwargs)
-    if variant == "conv":
-        return BandSelectorConv(bands, rng=rng, **kwargs)
-    raise ConfigError(f"unknown variant {variant!r}; expected 'fc' or 'conv'")

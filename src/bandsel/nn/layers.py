@@ -68,11 +68,10 @@ class DenseLayer:
 
     param_fields = ("weights", "bias")
 
-    def __init__(self, in_dim, out_dim, activation="relu", *, rng=None):
+    def __init__(self, in_dim, out_dim, activation="relu", *, rng):
         _check_activation(activation)
         if in_dim < 1 or out_dim < 1:
             raise ConfigError(f"dense dims must be positive, got {in_dim}x{out_dim}")
-        rng = np.random.default_rng() if rng is None else rng
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.activation = activation
@@ -138,11 +137,10 @@ class Conv2DLayer:
 
     param_fields = ("kernels", "bias")
 
-    def __init__(self, in_channels, out_channels, kernel_size, *, activation="relu", rng=None):
+    def __init__(self, in_channels, out_channels, kernel_size, *, activation="relu", rng):
         _check_activation(activation)
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ConfigError(f"kernel size must be a positive odd integer for same padding, got {kernel_size}")
-        rng = np.random.default_rng() if rng is None else rng
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.activation = activation

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from bandsel.errors import ConfigError, DimensionError, FormatError
-from bandsel.fileio import atomic_write
+from bandsel.fileio import write_json
 
 
 @dataclass
@@ -65,16 +65,13 @@ class SelectionResult:
 
     def save_json(self, path):
         """Write the result (without weights history) as indented, key-sorted JSON."""
-        payload = {
+        write_json(path, {
             "ranking": [int(i) for i in self.ranking],
             "top_k": [int(i) for i in self.top_k],
             "averaged_weights": [float(w) for w in self.averaged_weights],
             "loss_trace": [float(v) for v in self.loss_trace],
             "config": self.config,
-        }
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     @classmethod
     def load_json(cls, path):

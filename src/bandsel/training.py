@@ -14,11 +14,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from bandsel.errors import ConfigError, DimensionError, NumericError
-from bandsel.models import build_selector
+from bandsel.models import BandSelectorConv, BandSelectorFC
 from bandsel.nn import AdamState, adam_step
 from bandsel.selection import select_top_k
 
-DEFAULT_BATCH = {"fc": 64, "conv": 32}
 AVERAGING_CHUNK = 1024
 
 
@@ -27,8 +26,8 @@ class TrainConfig:
     """Hyperparameters of one training run.
 
     Defaults follow the reference setting: L1 coefficient 1e-2, learning
-    rate 2e-3, 100 epochs. ``batch_size=None`` resolves per variant
-    (64 spectral, 32 spectral-spatial).
+    rate 2e-3, 100 epochs. ``batch_size=None`` resolves to the selector's
+    ``default_batch`` (64 spectral, 32 spectral-spatial).
     """
 
     l1_coeff: float = 1e-2
@@ -57,13 +56,20 @@ def _full_averaged_weights(model, samples):
     return total / samples.shape[0]
 
 
-def train(samples, variant, cfg, *, k=None, model_kwargs=None):
+def train(samples, cfg, *, k=None, model_kwargs=None):
     """Run the full selection procedure on spectra [S, b] or patches [S, a, a, b].
 
-    Returns (model, SelectionResult). ``k`` defaults to the band count so
-    ``top_k`` equals the full ranking unless a subset size is requested.
+    The sample array's shape picks the selector: spectra train
+    BandSelectorFC, patches BandSelectorConv. Returns (model,
+    SelectionResult). ``k`` defaults to the band count so ``top_k`` equals
+    the full ranking unless a subset size is requested. Raises
+    NumericError if a loss or band weight it would report is not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    selector = {2: BandSelectorFC, 4: BandSelectorConv}.get(samples.ndim)
+    if selector is None:
+        raise DimensionError(f"samples must be spectra [S, b] or patches [S, a, a, b], "
+                             f"got shape {tuple(samples.shape)}")
     if samples.shape[0] < 1:
         raise DimensionError("sample set is empty")
     bands = samples.shape[-1]
@@ -71,10 +77,10 @@ def train(samples, variant, cfg, *, k=None, model_kwargs=None):
         k = bands
     if not 1 <= k <= bands:
         raise ConfigError(f"k must be in [1, {bands}], got {k}")
-    batch_size = cfg.batch_size if cfg.batch_size is not None else DEFAULT_BATCH.get(variant, 64)
+    batch_size = cfg.batch_size if cfg.batch_size is not None else selector.default_batch
 
     rng = np.random.default_rng(cfg.seed)
-    model = build_selector(variant, bands, rng=rng, **(model_kwargs or {}))
+    model = selector(bands, rng=rng, **(model_kwargs or {}))
     state = AdamState(model.params)
 
     n = samples.shape[0]
@@ -88,7 +94,7 @@ def train(samples, variant, cfg, *, k=None, model_kwargs=None):
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch = samples[order[start : start + batch_size]]
-            loss, _ = model.backprop(batch, cfg.l1_coeff)
+            loss = model.backprop(batch, cfg.l1_coeff)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             try:
@@ -100,8 +106,13 @@ def train(samples, variant, cfg, *, k=None, model_kwargs=None):
 
     # Final weights always come from one full pass over every sample.
     averaged = _full_averaged_weights(model, samples)
+    weights_history = np.stack(weights_history)
+    # Each step's loss was finite, but the last step's parameters (or an
+    # epoch loss summed past float range) can still overflow.
+    if not all(np.isfinite(v).all() for v in (loss_trace, weights_history, averaged)):
+        raise NumericError(f"non-finite loss or band weights after epoch {cfg.max_epochs}")
 
-    config = {**asdict(cfg), "variant": variant, "bands": bands, "k": k, "batch_size": batch_size}
+    config = {**asdict(cfg), "variant": model.kind, "bands": bands, "k": k, "batch_size": batch_size}
     result = select_top_k(averaged, k, loss_trace=loss_trace, config=config,
-                           weights_history=np.stack(weights_history))
+                           weights_history=weights_history)
     return model, result

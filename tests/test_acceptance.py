@@ -56,8 +56,8 @@ def selection_runs():
                          noise_sigma=0.01, seed=100 + seed)
         cube = scale_unit(synth_generate(spec))
         samples = extract_pixels(cube)
-        _, with_l1 = train(samples, "fc", TrainConfig(l1_coeff=1e-2, seed=seed), k=5)
-        _, without_l1 = train(samples, "fc", TrainConfig(l1_coeff=0.0, seed=seed), k=5)
+        _, with_l1 = train(samples, TrainConfig(l1_coeff=1e-2, seed=seed), k=5)
+        _, without_l1 = train(samples, TrainConfig(l1_coeff=0.0, seed=seed), k=5)
         runs.append({"seed": seed, "cube": cube, "with_l1": with_l1, "without_l1": without_l1})
     return runs
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandsel.errors import ConfigError, DimensionError, NumericError
 from bandsel.nn import AdamState, adam_step
@@ -40,6 +42,22 @@ def test_quadratic_descent_matches_scalar_oracle():
     expected = scalar_adam_oracle(1.0, lambda th: 2.0 * th, 0.1, 10)
     np.testing.assert_allclose(history, expected, atol=1e-10)
     assert abs(history[-1]) < 1.0
+
+
+@given(start=st.lists(st.floats(-10, 10), min_size=1, max_size=6),
+       lr=st.floats(1e-4, 1.0), steps=st.integers(1, 20), data=st.data())
+def test_random_gradients_match_scalar_oracle(start, lr, steps, data):
+    grads = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=len(start), max_size=len(start)),
+                               min_size=steps, max_size=steps))
+    params = np.array(start)
+    state = AdamState(params)
+    for grad in grads:
+        adam_step(params, np.array(grad), state, lr)
+    for i, theta in enumerate(start):
+        per_step = iter(grad[i] for grad in grads)
+        expected = scalar_adam_oracle(theta, lambda _: next(per_step), lr, steps)[-1]
+        assert params[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert state.step_count == steps
 
 
 def test_nonfinite_gradient_names_parameter():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bandsel.cli import main, parse_k_range
@@ -474,6 +474,22 @@ def assert_clean_failure(code, err, out_dir):
     assert not os.listdir(out_dir), (code, err)
 
 
+def reject_constant(token):
+    raise AssertionError(f"non-finite JSON constant {token}")
+
+
+def assert_finite_outputs(out_dir):
+    """Every JSON output is strict JSON (no NaN or Infinity) and every number in every CSV is finite."""
+    for name in os.listdir(out_dir):
+        path = Path(out_dir, name)
+        if name.endswith(".json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        elif name.endswith(".csv"):
+            for cell in (cell for row in read_table(path)[1] for cell in row):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), (name, cell)
+
+
 SELECTION = {"ranking": [3, 1, 4, 0, 5, 7, 2, 6], "top_k": [3, 1], "averaged_weights": [0.5] * 8,
              "loss_trace": [1.0], "config": {"variant": "fc"}}
 
@@ -556,8 +572,12 @@ FLOAT_FLAGS = {
 @settings(max_examples=120)
 @given(flag=st.sampled_from(sorted(FLOAT_FLAGS)),
        value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(flag="--lr", value=1e300)
 def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
-    """A non-finite or out-of-range float flag exits 2 and writes nothing; others run."""
+    """A non-finite or out-of-range float flag exits 2 and writes nothing; others run.
+
+    A run that exits 0 writes only finite numbers; one that fails writes nothing.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "o")
         train = ["train", "--input", fuzz_cube, "--maxiter", "1", "--out-prefix", out]
@@ -572,10 +592,31 @@ def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
         code, err = run_quietly([*argv, f"{flag}={value!r}"])
         if not (math.isfinite(value) and FLOAT_FLAGS[flag](value)):
             assert code == 2
-            assert_clean_failure(code, err, tmp)
         elif flag in ("--lr", "--l1"):
             # A huge but finite rate or coefficient may overflow training: exit 4.
             assert code in (0, 4)
-            assert code == 0 or err.startswith("error:")
         else:
             assert code == 0
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+
+
+@settings(max_examples=60)
+@given(variant=st.sampled_from(["fc", "conv"]), a=st.integers(1, 5), t=st.integers(1, 5),
+       k=st.integers(0, 9), batch=st.integers(1, 8), maxiter=st.integers(1, 3))
+def test_fuzzed_train_flags_exit_cleanly(fuzz_cube, variant, a, t, k, batch, maxiter):
+    """Any mix of ``train`` flags exits 0 with finite outputs for that variant, or fails and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "o")
+        code, err = run_quietly(["train", "--input", fuzz_cube, "--variant", variant, "--a", str(a),
+                                 "--t", str(t), "--k", str(k), "--batch-size", str(batch),
+                                 "--maxiter", str(maxiter), "--out-prefix", prefix])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+            config = json.loads(Path(prefix + ".json").read_text())["config"]
+            assert (config["variant"], config["k"], config["batch_size"]) == (variant, k, batch)

@@ -204,6 +204,19 @@ class TestReport:
         assert rep.aa == pytest.approx(aa, abs=1e-12)
         assert rep.kappa == pytest.approx(kappa, abs=1e-12)
 
+    @given(n_classes=st.integers(2, 6), data=st.data())
+    def test_matches_loop_oracle_with_absent_classes(self, n_classes, data):
+        present = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes - 1,
+                                     unique=True))
+        y_true = data.draw(st.lists(st.sampled_from(present), min_size=1, max_size=40))
+        y_pred = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=len(y_true), max_size=len(y_true)))
+        rep = report(y_true, y_pred, n_classes)
+        confusion, oa, aa, kappa = report_oracle(y_true, y_pred, n_classes)
+        np.testing.assert_array_equal(rep.confusion, confusion)
+        assert rep.oa == pytest.approx(oa, abs=1e-12)
+        assert rep.aa == pytest.approx(aa, abs=1e-12)
+        assert rep.kappa == pytest.approx(kappa, abs=1e-12)
+
     def test_confusion_rows_sum_to_class_counts(self):
         rng = np.random.default_rng(8)
         y_true = rng.integers(0, 3, size=120)

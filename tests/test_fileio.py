@@ -11,7 +11,7 @@ from bandsel.selection import select_top_k
 
 WRITERS = {
     "csv": lambda path: cli._write_csv(path, "k,msd", [(2, 0.5), (4, 0.25)]),
-    "sidecar": lambda path: cli._write_sidecar(path, {"command": "metrics", "k": [2, 4]}),
+    "sidecar": lambda path: fileio.write_json(path, {"command": "metrics", "k": [2, 4]}),
     "selection": lambda path: select_top_k(np.array([0.2, 0.7, 0.1]), 2).save_json(path),
     "cube": lambda path: save_cube(HsiCube(np.zeros((2, 3, 4))), path),
 }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandsel.errors import ConfigError, DimensionError
-from bandsel.models import BandSelectorConv, BandSelectorFC, build_selector, reconstruction_loss, reweight
+from bandsel.models import BandSelectorConv, BandSelectorFC, reconstruction_loss, reweight
 
 
 def zero_out(stack):
@@ -169,10 +169,11 @@ def test_flat_buffer_slices_follow_layer_order():
     assert np.shares_memory(layer.grad_kernels, model.grads)
 
 
-def test_build_selector_dispatch():
-    assert build_selector("fc", 8, rng=np.random.default_rng(0), bam_hidden=(4,), rec_hidden=(4,)).kind == "fc"
-    assert build_selector(
-        "conv", 4, rng=np.random.default_rng(0), bam_conv_channels=3, bam_hidden=4, rec_channels=(3, 3, 3, 3)
-    ).kind == "conv"
-    with pytest.raises(ConfigError):
-        build_selector("mlp", 8)
+def test_each_selector_rejects_the_other_variants_batch():
+    fc = BandSelectorFC(5, bam_hidden=(4,), rec_hidden=(4,), rng=np.random.default_rng(0))
+    conv = BandSelectorConv(5, bam_conv_channels=3, bam_hidden=4, rec_channels=(3, 3, 3, 3),
+                            rng=np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="dense layer"):
+        fc.backprop(np.zeros((2, 3, 3, 5)), 1e-2)
+    with pytest.raises(DimensionError, match="conv layer"):
+        conv.backprop(np.zeros((2, 5)), 1e-2)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandsel.errors import ConfigError, FormatError
 from bandsel.models import BandSelectorFC
@@ -59,6 +61,13 @@ class TestTopK:
             scores = rng.random(17)
             k = int(rng.integers(1, 18))
             assert select_top_k(scores, k).top_k == topk_oracle(scores, k)
+
+    @given(scores=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=20), data=st.data())
+    def test_tied_scores_match_sort_then_slice_oracle(self, scores, data):
+        k = data.draw(st.integers(1, len(scores)))
+        result = select_top_k(np.array(scores), k)
+        assert result.top_k == topk_oracle(scores, k)
+        assert result.ranking == topk_oracle(scores, len(scores))
 
     def test_ranking_is_a_permutation(self):
         rng = np.random.default_rng(3)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from bandsel.cube import extract_pixels, scale_unit
-from bandsel.errors import ConfigError, NumericError
+from bandsel.cube import extract_patches, extract_pixels, scale_unit
+from bandsel.errors import ConfigError, DimensionError, NumericError
+from bandsel.models import BandSelectorConv, BandSelectorFC
 from bandsel.synthetic import SynthSpec, synth_generate
 from bandsel.training import TrainConfig, train
 
@@ -41,20 +42,20 @@ class TestTrainLoop:
     def test_single_epoch_full_batch_gives_one_loss_entry(self):
         samples = small_samples()
         cfg = TrainConfig(l1_coeff=0.0, max_epochs=1, batch_size=len(samples), seed=0)
-        _, result = train(samples, "fc", cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+        _, result = train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
         assert len(result.loss_trace) == 1
 
     def test_default_k_is_band_count_and_ranking_is_permutation(self):
         samples = small_samples()
         cfg = TrainConfig(max_epochs=2, seed=1)
-        _, result = train(samples, "fc", cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+        _, result = train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
         assert sorted(result.ranking) == list(range(12))
         assert result.top_k == result.ranking
 
     def test_weights_stay_in_unit_interval_every_epoch(self):
         samples = small_samples(seed=2)
         cfg = TrainConfig(max_epochs=5, seed=2)
-        _, result = train(samples, "fc", cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+        _, result = train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
         hist = result.weights_history
         assert hist.shape == (5, 12)
         assert np.all(hist > 0) and np.all(hist < 1)
@@ -65,7 +66,7 @@ class TestTrainLoop:
         for _ in range(2):
             samples = small_samples(seed=3)
             cfg = TrainConfig(max_epochs=3, seed=9)
-            model, result = train(samples, "fc", cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+            model, result = train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
             results.append(result)
             models.append(model)
         assert results[0].loss_trace == results[1].loss_trace
@@ -75,25 +76,23 @@ class TestTrainLoop:
     def test_l1_shrinks_mean_weight_versus_unregularized(self):
         samples = small_samples(seed=4)
         base = {"bam_hidden": (8,), "rec_hidden": (8,)}
-        _, with_l1 = train(samples, "fc", TrainConfig(l1_coeff=1e-2, max_epochs=30, seed=5), model_kwargs=base)
-        _, without = train(samples, "fc", TrainConfig(l1_coeff=0.0, max_epochs=30, seed=5), model_kwargs=base)
+        _, with_l1 = train(samples, TrainConfig(l1_coeff=1e-2, max_epochs=30, seed=5), model_kwargs=base)
+        _, without = train(samples, TrainConfig(l1_coeff=0.0, max_epochs=30, seed=5), model_kwargs=base)
         assert with_l1.averaged_weights.mean() < without.averaged_weights.mean()
 
     def test_loss_decreases_on_synthetic_data(self):
         samples = small_samples(seed=6)
         cfg = TrainConfig(max_epochs=40, batch_size=8, seed=6)
-        _, result = train(samples, "fc", cfg, model_kwargs={"bam_hidden": (8,), "rec_hidden": (8,)})
+        _, result = train(samples, cfg, model_kwargs={"bam_hidden": (8,), "rec_hidden": (8,)})
         assert result.loss_trace[-1] < 0.5 * result.loss_trace[0]
 
     def test_conv_variant_trains_on_patches(self):
         spec = SynthSpec(rows=10, cols=10, bands=6, informative=(1, 4), noise_sigma=0.01, seed=7, classes=0)
         cube = scale_unit(synth_generate(spec))
-        from bandsel.cube import extract_patches
-
         samples = extract_patches(cube, 5, 3)
         cfg = TrainConfig(max_epochs=2, seed=8, batch_size=2)
         _, result = train(
-            samples, "conv", cfg, k=3,
+            samples, cfg, k=3,
             model_kwargs={"bam_conv_channels": 3, "bam_hidden": 4, "rec_channels": (4, 3, 3, 4)},
         )
         assert len(result.top_k) == 3
@@ -106,14 +105,32 @@ class TestTrainLoop:
         bad = np.full((16, 6), 1e200)
         cfg = TrainConfig(max_epochs=3, seed=10)
         with pytest.raises(NumericError, match="epoch 1"):
-            train(bad, "fc", cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+            train(bad, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
 
     def test_empty_sample_set_rejected(self):
         empty = np.zeros((0, 5))
         with pytest.raises(Exception):
-            train(empty, "fc", TrainConfig(max_epochs=1))
+            train(empty, TrainConfig(max_epochs=1))
 
     def test_k_out_of_range_rejected(self):
         samples = small_samples()
         with pytest.raises(ConfigError):
-            train(samples, "fc", TrainConfig(max_epochs=1), k=13)
+            train(samples, TrainConfig(max_epochs=1), k=13)
+
+
+class TestSelectorDispatch:
+    def test_sample_shape_picks_the_selector_and_its_batch(self):
+        spec = SynthSpec(rows=6, cols=6, bands=5, informative=(1, 3), noise_sigma=0.01, seed=11, classes=0)
+        cube = scale_unit(synth_generate(spec))
+        cfg = TrainConfig(max_epochs=1, seed=0)
+        fc, fc_result = train(extract_pixels(cube), cfg, model_kwargs={"bam_hidden": (4,), "rec_hidden": (4,)})
+        conv, conv_result = train(extract_patches(cube, 3, 3), cfg, model_kwargs={
+            "bam_conv_channels": 3, "bam_hidden": 4, "rec_channels": (3, 3, 3, 3)})
+        assert type(fc) is BandSelectorFC and type(conv) is BandSelectorConv
+        assert (fc_result.config["variant"], fc_result.config["batch_size"]) == ("fc", 64)
+        assert (conv_result.config["variant"], conv_result.config["batch_size"]) == ("conv", 32)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (4, 3, 5), (2, 3, 3, 3, 5)])
+    def test_other_sample_shapes_are_rejected(self, shape):
+        with pytest.raises(DimensionError, match="spectra"):
+            train(np.zeros(shape), TrainConfig(max_epochs=1))
