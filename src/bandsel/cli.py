@@ -80,6 +80,8 @@ def cmd_synth(args):
         raise ConfigError(f"cube dimensions must be positive, got {args.rows}x{args.cols}x{args.bands}")
     if not 1 <= args.informative <= args.bands:
         raise ConfigError(f"informative count must be in [1, {args.bands}], got {args.informative}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     informative = sorted(int(i) for i in rng.choice(args.bands, size=args.informative, replace=False))
     spec = SynthSpec(rows=args.rows, cols=args.cols, bands=args.bands,

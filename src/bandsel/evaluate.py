@@ -30,6 +30,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def split(cube, spec):

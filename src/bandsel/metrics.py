@@ -88,8 +88,6 @@ def variance_rank(cube, k):
     Ties break toward the lower band index. The variance scores are stored
     in the result's averaged-weights slot.
     """
-    if not 1 <= k <= cube.bands:
-        raise ConfigError(f"k must be in [1, {cube.bands}], got {k}")
     flat = cube.values.reshape(-1, cube.bands)
     variances = flat.var(axis=0)
     return select_top_k(variances, k, config={"selector": "variance"})

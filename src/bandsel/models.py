@@ -10,32 +10,25 @@ driven toward zero.
 
 The spectral variant consumes flat spectra [S, bands]; the spectral-spatial
 variant consumes patches [S, a, a, bands] and broadcasts each sample's weight
-vector across the patch. Each variant's first layer rejects the other's
-input shape.
+vector across the patch. Each branch's first layer checks the batch: it
+rejects the other variant's input shape and a wrong band count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bandsel.errors import ConfigError, DimensionError
+from bandsel.errors import ConfigError
 from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack
 
 
 def reweight(batch, weights):
     """Band-wise product of a sample batch with per-sample band weights.
 
-    ``batch`` is [S, b] or [S, a, a, b]; ``weights`` is [S, b] and broadcasts
+    ``batch`` is [S, b] or [S, a, a, b] and ``weights`` is [S, b], as the
+    attention branch emits them for that batch; the weights broadcast
     across the spatial extent in the patch case.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or batch.shape[0] != weights.shape[0] or batch.shape[-1] != weights.shape[1]:
-        raise DimensionError(
-            f"weights {tuple(weights.shape)} do not match batch {tuple(batch.shape)}"
-        )
-    if batch.ndim not in (2, 4):
-        raise DimensionError(f"batch must be [S, b] or [S, a, a, b], got {tuple(batch.shape)}")
     return batch * weights.reshape(weights.shape[0], *[1] * (batch.ndim - 2), weights.shape[1])
 
 
@@ -47,10 +40,6 @@ def reconstruction_loss(x, x_hat, weights, l1_coeff):
     """
     if l1_coeff < 0:
         raise ConfigError(f"l1 coefficient must be non-negative, got {l1_coeff}")
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise DimensionError(f"reconstruction shape {x_hat.shape} does not match input {x.shape}")
     return (0.5 * np.sum((x_hat - x) ** 2) + l1_coeff * np.sum(np.abs(weights))) / x.shape[0]
 
 
@@ -93,7 +82,6 @@ class _BandSelector:
 
     def forward(self, batch):
         """Full pass; returns (per-sample weights [S, b], reconstruction like batch)."""
-        batch = self._check_batch(batch)
         weights = self.band_weights(batch)
         x_hat = self.reconstruct(reweight(batch, weights))
         return weights, x_hat
@@ -103,7 +91,6 @@ class _BandSelector:
 
         Writes every parameter gradient into ``grads`` and returns the loss.
         """
-        batch = self._check_batch(batch)
         weights, x_hat = self.forward(batch)
         n = batch.shape[0]
         loss = reconstruction_loss(batch, x_hat, weights, l1_coeff)
@@ -117,14 +104,6 @@ class _BandSelector:
     def loss(self, batch, l1_coeff):
         weights, x_hat = self.forward(batch)
         return reconstruction_loss(batch, x_hat, weights, l1_coeff)
-
-    def _check_batch(self, batch):
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.shape[-1] != self.bands:
-            raise DimensionError(
-                f"batch has {batch.shape[-1]} bands but model expects {self.bands}"
-            )
-        return batch
 
 
 def _dense_stack(dims, rng):

@@ -1,7 +1,7 @@
 """Dense, convolutional and pooling layers with hand-written gradients.
 
 Arrays are the tensor carrier throughout: C-ordered float64 ndarrays, which
-the layers take as given (the model casts its batch once).
+the layers take as given (``train`` casts the samples once).
 Each layer with parameters names them in the class tuple ``param_fields``;
 every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
 layer belongs to a model, both are views into the model's flat ``params`` and
@@ -30,7 +30,6 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 def sigmoid(x):
     """Numerically stable logistic function: ``exp(-|x|)`` never overflows."""
-    x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 

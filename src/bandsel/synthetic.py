@@ -51,6 +51,8 @@ class SynthSpec:
             raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         if self.classes < 0 or self.classes == 1:
             raise ConfigError(f"classes must be 0 or >= 2, got {self.classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _normalize(field):

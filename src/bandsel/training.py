@@ -45,6 +45,8 @@ class TrainConfig:
             raise ConfigError(f"epoch count must be >= 1, got {self.max_epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _full_averaged_weights(model, samples):
@@ -56,6 +58,7 @@ def _full_averaged_weights(model, samples):
     return total / samples.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(samples, cfg, *, k=None, model_kwargs=None):
     """Run the full selection procedure on spectra [S, b] or patches [S, a, a, b].
 
@@ -63,7 +66,8 @@ def train(samples, cfg, *, k=None, model_kwargs=None):
     BandSelectorFC, patches BandSelectorConv. Returns (model,
     SelectionResult). ``k`` defaults to the band count so ``top_k`` equals
     the full ranking unless a subset size is requested. Raises
-    NumericError if a loss or band weight it would report is not finite.
+    NumericError if a loss or band weight it would report is not finite;
+    those checks, not numpy's overflow warnings, report a diverging run.
     """
     samples = np.asarray(samples, dtype=np.float64)
     selector = {2: BandSelectorFC, 4: BandSelectorConv}.get(samples.ndim)

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -118,6 +120,42 @@ def test_non_finite_float_flag_is_a_config_error(tmp_path, capsys, argv):
     target = ["--out", out + ".hsic"] if argv[0] == "synth" else ["--input", str(cube), "--out-prefix", out]
     assert main([*argv, *target]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cube = make_cube(tmp_path)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
+                  "--out", out + ".hsic"],
+        "train": ["train", "--input", str(cube), "--maxiter", "1", "--out-prefix", out],
+        "eval": ["eval", "--input", str(cube), "--include-random", "--k", "2", "--runs", "1",
+                 "--out-prefix", out],
+    }[command]
+    assert main([*argv, "--seed=-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_diverging_training_prints_only_the_error_line(tmp_path):
+    """Exit 4 starts stderr with ``error:`` under the default warning filters, not numpy warnings.
+
+    Runs in a fresh interpreter: the in-process fuzz tests silence warnings
+    and pytest captures the rest.
+    """
+    cube = tmp_path / "small.hsic"
+    save_cube(HsiCube(np.random.default_rng(0).random((6, 5, 4))), cube)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "bandsel", "train", "--input", str(cube), "--maxiter", "3",
+                           "--lr", "1e300", "--out-prefix", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
     assert not list(tmp_path.glob("out*"))
 
 
@@ -601,6 +639,31 @@ def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
             assert_clean_failure(code, err, tmp)
         else:
             assert_finite_outputs(tmp)
+
+
+# Each flag draws half the time from its valid range: with uniform draws
+# almost every run stops at the first check and the later ones go unexercised.
+@settings(max_examples=150)
+@given(rows=st.integers(1, 8) | st.integers(-1, 8), cols=st.integers(1, 8) | st.integers(-1, 8),
+       bands=st.integers(1, 8) | st.integers(-1, 8), informative=st.integers(1, 2) | st.integers(-1, 9),
+       classes=st.integers(-1, 5),
+       noise=st.floats(0, 1) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+       seed=st.integers(-2, 2) | st.integers(-2, 2**64))
+def test_fuzzed_synth_flags_exit_cleanly(rows, cols, bands, informative, classes, noise, seed):
+    """Any mix of ``synth`` flags writes a readable cube with a strict-JSON sidecar, or fails and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "c.hsic")
+        code, err = run_quietly(["synth", f"--rows={rows}", f"--cols={cols}", f"--bands={bands}",
+                                 f"--informative={informative}", f"--classes={classes}",
+                                 f"--noise-sigma={noise!r}", f"--seed={seed}", "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            cube = load_cube(out)
+            assert (cube.rows, cube.cols, cube.bands) == (rows, cols, bands)
+            with open(out + ".meta.json", encoding="utf-8") as fh:
+                json.load(fh, parse_constant=reject_constant)
 
 
 @settings(max_examples=60)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandsel.cube import HsiCube, extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
@@ -151,6 +153,20 @@ class TestExtractPatches:
                 assert out.shape[0] == len(offsets)
                 for patch, (i, j) in zip(out, offsets):
                     np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
+
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 20), bands=st.integers(1, 3),
+           a=st.integers(1, 8), t=st.integers(1, 8))
+    def test_any_geometry_matches_enumeration_oracle(self, rows, cols, bands, a, t):
+        cube = HsiCube(np.arange(rows * cols * bands, dtype=np.float64).reshape(rows, cols, bands))
+        offsets = patch_offsets_oracle(rows, cols, a, t)
+        if not offsets:
+            with pytest.raises(ConfigError):
+                extract_patches(cube, a, t)
+            return
+        out = extract_patches(cube, a, t)
+        assert out.shape == (len(offsets), a, a, bands)
+        for patch, (i, j) in zip(out, offsets):
+            np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
 
     def test_oversized_window_rejected(self):
         cube = random_cube(np.random.default_rng(16), 4, 4, 2)

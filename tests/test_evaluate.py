@@ -110,6 +110,10 @@ class TestSplit:
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SplitSpec(seed=-1)
+
 
 class TestKnn:
     def test_exact_match_returns_its_label(self):

@@ -91,3 +91,7 @@ class TestSpecValidation:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(rows=4, cols=4, bands=5, informative=(0,), classes=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SynthSpec(rows=4, cols=4, bands=5, informative=(0,), seed=-1)

@@ -32,6 +32,7 @@ class TestConfig:
         {"l1_coeff": float("inf")},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
+        {"seed": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -97,11 +98,12 @@ class TestTrainLoop:
         )
         assert len(result.top_k) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts_with_epoch_number(self):
         # The sigmoid head bounds the loss for sane inputs, so force the
         # overflow through the data: squared residuals of huge samples
-        # exceed float range and the loop must name the failing epoch.
+        # exceed float range and the loop must name the failing epoch,
+        # with no numpy overflow warning ahead of it.
         bad = np.full((16, 6), 1e200)
         cfg = TrainConfig(max_epochs=3, seed=10)
         with pytest.raises(NumericError, match="epoch 1"):
