@@ -73,16 +73,39 @@ def split(cube, spec):
     return train_idx, test_idx
 
 
+def _first_minima(d2, k):
+    """Column indices of each row's k smallest entries, in stable-sort order.
+
+    Each pass takes the row's first minimum and overwrites it with +inf.
+    ``argmin`` ranks a NaN first and cannot tell a real +inf from an
+    overwritten entry, so a row with a non-finite pick gets its values back
+    (in reverse pick order, so a twice-picked entry ends with its first
+    value) and is ranked by a stable full sort. ``d2`` is modified.
+    """
+    rows = np.arange(d2.shape[0])
+    nearest = np.empty((d2.shape[0], k), dtype=np.intp)
+    picked = np.empty((d2.shape[0], k))
+    for j in range(k):
+        idx = d2.argmin(axis=1)
+        nearest[:, j] = idx
+        picked[:, j] = d2[rows, idx]
+        d2[rows, idx] = np.inf
+    redo = np.flatnonzero(~np.isfinite(picked).all(axis=1))
+    if redo.size:
+        for j in reversed(range(k)):
+            d2[redo, nearest[redo, j]] = picked[redo, j]
+        nearest[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
     """Euclidean k-NN majority vote; ties go to the smallest class id.
 
     Callers restrict the pixel matrices to the selected bands beforehand.
     Squared distances are expanded as |a|^2 - 2 a.b + |b|^2 over chunks of
     about KNN_CHUNK_ELEMENTS distances. Each row keeps its k nearest
-    training pixels by partial selection (``argpartition``); only a row
-    where another training pixel ties the k-th distance (or the k-th
-    distance is NaN) is re-ranked with a stable full sort, so equal
-    distances resolve toward lower training indices.
+    training pixels by k ``argmin`` passes, equal distances resolving
+    toward lower training indices as in a stable full sort.
     """
     train_pixels = np.asarray(train_pixels, dtype=np.float64)
     test_pixels = np.asarray(test_pixels, dtype=np.float64)
@@ -110,13 +133,7 @@ def classify_knn(train_pixels, train_labels, test_pixels, k_neighbors=5):
         d2 *= -2.0
         d2 += test_sq[start : start + chunk, None]
         d2 += train_sq
-        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d2, nearest[:, k - 1 :], axis=1)
-        # Exactly k distances at or below the k-th one make the nearest set unique;
-        # a tie at the k-th distance or a NaN k-th distance gives another count.
-        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
-        if tied.size:
-            nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        nearest = _first_minima(d2, k)
         # Classes are sorted, so argmax's first maximum is the smallest tied class id.
         votes = np.zeros((len(block), classes.size), dtype=np.int64)
         np.add.at(votes, (np.arange(len(block))[:, None], label_index[nearest]), 1)

@@ -24,6 +24,18 @@ from bandsel.evaluate import (
 from oracles import knn_oracle, report_oracle
 
 
+def stable_sort_knn(train_x, train_y, test_x, k):
+    """k-NN on classify_knn's expanded distances, ranked by a full stable sort of each row."""
+    d2 = test_x @ train_x.T
+    d2 *= -2.0
+    d2 += np.sum(test_x ** 2, axis=1)[:, None]
+    d2 += np.sum(train_x ** 2, axis=1)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    classes = np.unique(train_y)
+    votes = (train_y[nearest][:, :, None] == classes).sum(axis=1)
+    return classes[votes.argmax(axis=1)]
+
+
 def labeled_cube(rng, rows=10, cols=10, bands=4, classes=3):
     values = rng.random((rows, cols, bands))
     gt = rng.integers(1, classes + 1, size=(rows, cols)).astype(np.uint32)
@@ -166,6 +178,51 @@ class TestKnn:
         with mock.patch.object(evaluate, "KNN_CHUNK_ELEMENTS", budget):
             pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
         np.testing.assert_array_equal(pred, knn_oracle(train_x, train_y, test_x, k))
+
+    @given(data=st.data())
+    def test_non_finite_distances_match_a_stable_sort(self, data):
+        # 1e200 pixels give +inf distances and inf pixels give NaN ones, so rows hold fewer
+        # than k finite distances, NaN picks, and entries the argmin rounds pick twice.
+        bands = data.draw(st.integers(1, 3), label="bands")
+        values = st.sampled_from([0.0, 1.0, 2.0, 1e200, np.inf, np.nan])
+
+        def pixel_rows(n):
+            return st.lists(st.lists(values, min_size=bands, max_size=bands), min_size=n, max_size=n)
+
+        n_train = data.draw(st.integers(1, 12), label="n_train")
+        train_x = np.array(data.draw(pixel_rows(n_train), label="train"))
+        train_y = np.array(data.draw(st.lists(st.sampled_from([0, 3, 7]), min_size=n_train,
+                                              max_size=n_train), label="labels"))
+        test_x = np.array(data.draw(pixel_rows(data.draw(st.integers(1, 8), label="n_test")),
+                                    label="test"))
+        k = data.draw(st.integers(1, n_train + 2), label="k")
+        with np.errstate(all="ignore"):
+            pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
+            expected = stable_sort_knn(train_x, train_y, test_x, k)
+        np.testing.assert_array_equal(pred, expected)
+
+    def test_twice_picked_entry_is_ranked_by_its_first_value(self):
+        # Distances [5, inf, inf, 8] and [inf, inf, 5, inf]: the third round picks entry 0 again
+        # in the first row and a real +inf in the second, so both rows are re-sorted.
+        d2 = np.array([[5.0, np.inf, np.inf, 8.0], [np.inf, np.inf, 5.0, np.inf]])
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :3]
+        np.testing.assert_array_equal(evaluate._first_minima(d2.copy(), 3), expected)
+        train_x = np.array([[1.0, 2.0], [1e200, 0.0], [1e200, 0.0], [2.0, 2.0]])
+        with np.errstate(all="ignore"):
+            pred = classify_knn(train_x, np.array([1, 2, 0, 1]), np.zeros((1, 2)), k_neighbors=3)
+        assert pred.tolist() == [1]
+
+    def test_finite_inputs_need_no_sort(self):
+        rng = np.random.default_rng(17)
+        train_x = rng.integers(0, 3, size=(40, 2)).astype(np.float64)
+        train_y = rng.integers(0, 4, size=40)
+        test_x = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
+        for k in (1, 5, 40):
+            expected = knn_oracle(train_x, train_y, test_x, k)
+            with mock.patch.object(np, "argpartition", side_effect=AssertionError("argpartition")), \
+                    mock.patch.object(np, "argsort", side_effect=AssertionError("argsort")):
+                pred = classify_knn(train_x, train_y, test_x, k_neighbors=k)
+            np.testing.assert_array_equal(pred, expected)
 
     def test_nan_test_pixel_ranks_training_pixels_by_index(self):
         # Every distance is NaN, so the k nearest are the first k training pixels.
