@@ -12,11 +12,13 @@ positive, sigmoid scales by ``out * (1 - out)``). ``backward`` consumes the
 cache, writes the parameter gradients in place into the ``grad_*`` views and
 returns the gradient with respect to the layer input.
 
-Spatial convolutions are stride 1 with zero-padded "same" geometry: an odd
-``k x k`` kernel is padded by ``k // 2`` on every side, so height and width
-pass through unchanged. The adjoint of that correlation in its input is the
-same correlation with spatially flipped, channel-swapped kernels, so one
-routine serves the forward pass and the input gradient.
+Spatial convolutions are stride 1 with zero-padded "same" geometry, so height
+and width pass through unchanged; the adjoint in the input is the same
+correlation with flipped, channel-swapped kernels. Each kernel tap is one GEMM
+on the input shifted into one reused zero-bordered buffer (no padded copy),
+written into a reused tap buffer or straight into the ``grad_kernels`` view.
+The GEMMs get a padded copy's operands and the taps are summed in its order,
+so the bits are kept.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 
 def sigmoid(x):
-    """Numerically stable logistic function: ``exp(-|x|)`` never overflows."""
+    """Numerically stable logistic: ``1/(1+e)`` for x >= 0, else ``e/(1+e)``, with ``e = exp(-|x|) <= 1``."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -45,9 +47,11 @@ def _check_activation(activation):
         raise ConfigError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
 
 
-def _apply_activation(activation, pre):
+def _apply_activation(activation, pre, bias):
+    """The activation of ``pre + bias``, computed in ``pre``, which callers pass fresh."""
+    pre += bias
     if activation == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
     if activation == "sigmoid":
         return sigmoid(pre)
     return pre
@@ -87,42 +91,67 @@ class DenseLayer:
                 f"dense layer expects input [batch, {self.in_dim}], got shape {tuple(x.shape)}"
             )
         self._x = x
-        self._out = _apply_activation(self.activation, x @ self.weights + self.bias)
+        self._out = _apply_activation(self.activation, x @ self.weights, self.bias)
         return self._out
 
     def backward(self, grad):
         if self._x is None:
             raise StateError("backward called before forward on dense layer")
         d_pre = _activation_backward(self.activation, grad, self._out)
-        self.grad_weights[...] = self._x.T @ d_pre
-        self.grad_bias[...] = d_pre.sum(axis=0)
+        np.matmul(self._x.T, d_pre, out=self.grad_weights)
+        np.sum(d_pre, axis=0, out=self.grad_bias)
         return d_pre @ self.weights.T
 
 
-def _correlate(x, kernels):
-    """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout]."""
-    batch, h, w, _ = x.shape
-    k = kernels.shape[0]
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    out = np.zeros((batch, h, w, kernels.shape[3]))
-    for u in range(k):
-        for v in range(k):
-            out += np.tensordot(xp[:, u : u + h, v : v + w, :], kernels[u, v], axes=([3], [0]))
-    return out
+def _shifted_windows(x, k):
+    """Yield ``(u, v, window)`` per tap of a ``k x k`` kernel, in row-major order.
 
-
-def _kernel_grad(x, grad, kernel_shape):
-    """Gradient of ``sum(_correlate(x, kernels) * grad)`` with respect to the kernels."""
+    ``window[:, i, j]`` is ``x[:, i + u - k//2, j + v - k//2]``, zero outside x: the
+    centre window is C-ordered x itself, every other one the same reused buffer.
+    """
+    x = np.ascontiguousarray(x)
     _, h, w, _ = x.shape
-    k = kernel_shape[0]
     p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    dk = np.zeros(kernel_shape)
-    for u in range(k):
-        for v in range(k):
-            dk[u, v] = np.tensordot(xp[:, u : u + h, v : v + w, :], grad, axes=([0, 1, 2], [0, 1, 2]))
-    return dk
+    buffer = np.empty_like(x)
+    for u, v in np.ndindex(k, k):
+        if u == v == p:
+            yield u, v, x
+            continue
+        r0, r1, c0, c1 = np.clip((p - u, h + p - u, p - v, w + p - v), 0, (h, h, w, w))
+        buffer[:, r0:r1, c0:c1] = x[:, r0 + u - p : r1 + u - p, c0 + v - p : c1 + v - p]
+        buffer[:, :r0] = buffer[:, r1:] = buffer[:, :, :c0] = buffer[:, :, c1:] = 0.0
+        yield u, v, buffer
+
+
+def _correlate(x, kernels):
+    """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout].
+
+    Adds each shifted [B*H*W, Cin] window's GEMM through one reused tap buffer,
+    with the operands and order of the padded-copy reference in ``tests/oracles.py``.
+    """
+    batch, h, w, cin = x.shape
+    out = np.zeros((batch * h * w, kernels.shape[3]))
+    tap = np.empty_like(out)
+    for u, v, window in _shifted_windows(x, kernels.shape[0]):
+        out += np.dot(window.reshape(out.shape[0], cin), kernels[u, v], out=tap)
+    return out.reshape(batch, h, w, -1)
+
+
+def _kernel_grad(x, grad, out):
+    """Write the gradient of ``sum(_correlate(x, kernels) * grad)`` in the kernels into ``out``.
+
+    Tap (u, v)'s ``window.T @ grad`` goes straight into ``out[u, v]``. BLAS's
+    small-GEMM kernels round a transposed operand differently, so the windows
+    keep the reference's memory order: x's transposed view for a 1 x 1 kernel or
+    when at most one of B, H, W exceeds 1, else a C-ordered transposed copy.
+    """
+    batch, h, w, cin = x.shape
+    rows = batch * h * w
+    grad = np.ascontiguousarray(grad).reshape(rows, -1)
+    view = out.shape[0] == 1 or sum(n > 1 for n in x.shape[:3]) <= 1
+    source = x if view else np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(cin * batch, h, w, 1)
+    for u, v, window in _shifted_windows(source, out.shape[0]):
+        np.dot(window.reshape(rows, cin).T if view else window.reshape(cin, rows), grad, out=out[u, v])
 
 
 class Conv2DLayer:
@@ -130,8 +159,7 @@ class Conv2DLayer:
 
     ``kernel_size`` is one odd side ``k``; kernels are stored
     [k, k, in_channels, out_channels] and the output keeps the input's
-    height and width. The input gradient is the forward correlation with
-    spatially flipped, channel-swapped kernels.
+    height and width.
     """
 
     param_fields = ("kernels", "bias")
@@ -140,12 +168,13 @@ class Conv2DLayer:
         _check_activation(activation)
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ConfigError(f"kernel size must be a positive odd integer for same padding, got {kernel_size}")
+        if in_channels < 1 or out_channels < 1:
+            raise ConfigError(f"conv channels must be positive, got {in_channels}->{out_channels}")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.activation = activation
         k = int(kernel_size)
-        fan_in = k * k * in_channels
-        fan_out = k * k * out_channels
+        fan_in, fan_out = k * k * in_channels, k * k * out_channels
         self.kernels = glorot_uniform(rng, (k, k, in_channels, out_channels), fan_in, fan_out)
         self.bias = glorot_uniform(rng, (out_channels,), fan_in, fan_out)
         self.grad_kernels = np.zeros_like(self.kernels)
@@ -159,15 +188,15 @@ class Conv2DLayer:
                 f"conv layer expects input [batch, h, w, {self.in_channels}], got shape {tuple(x.shape)}"
             )
         self._x = x
-        self._out = _apply_activation(self.activation, _correlate(x, self.kernels) + self.bias)
+        self._out = _apply_activation(self.activation, _correlate(x, self.kernels), self.bias)
         return self._out
 
     def backward(self, grad):
         if self._x is None:
             raise StateError("backward called before forward on conv layer")
         d_pre = _activation_backward(self.activation, grad, self._out)
-        self.grad_bias[...] = d_pre.sum(axis=(0, 1, 2))
-        self.grad_kernels[...] = _kernel_grad(self._x, d_pre, self.kernels.shape)
+        np.sum(d_pre, axis=(0, 1, 2), out=self.grad_bias)
+        _kernel_grad(self._x, d_pre, self.grad_kernels)
         return _correlate(d_pre, self.kernels[::-1, ::-1].transpose(0, 1, 3, 2))
 
 

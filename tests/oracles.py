@@ -1,7 +1,8 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here is written as plain loops, deliberately ignoring the
-vectorized implementations under test.
+vectorized implementations under test, except the padded-copy references
+for the conv layer, which pin the exact bits the layer must keep.
 """
 
 import math
@@ -50,6 +51,54 @@ def conv2d_oracle(x, kernels, stride=1):
                                     acc += x[b, r, c, m] * kernels[u, v, m, o]
                     out[b, i, j, o] = acc
     return out
+
+
+def conv_kernel_grad_oracle(x, grad, k):
+    """Nested-loop gradient of sum(conv2d_oracle(x, kernels) * grad) in the k x k kernels."""
+    batch, h, w, cin = x.shape
+    cout = grad.shape[3]
+    p = k // 2
+    out = np.zeros((k, k, cin, cout))
+    for u in range(k):
+        for v in range(k):
+            for m in range(cin):
+                for o in range(cout):
+                    acc = 0.0
+                    for b in range(batch):
+                        for i in range(h):
+                            for j in range(w):
+                                r = i + u - p
+                                c = j + v - p
+                                if 0 <= r < h and 0 <= c < w:
+                                    acc += x[b, r, c, m] * grad[b, i, j, o]
+                    out[u, v, m, o] = acc
+    return out
+
+
+def padded_correlate_reference(x, kernels):
+    """The conv layer's former lowering: pad by k // 2, then one ``tensordot`` per tap."""
+    batch, h, w, _ = x.shape
+    k = kernels.shape[0]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    out = np.zeros((batch, h, w, kernels.shape[3]))
+    for u in range(k):
+        for v in range(k):
+            out += np.tensordot(xp[:, u : u + h, v : v + w, :], kernels[u, v], axes=([3], [0]))
+    return out
+
+
+def padded_kernel_grad_reference(x, grad, kernel_shape):
+    """The former kernel gradient: one ``tensordot`` per tap over the padded copy of x."""
+    _, h, w, _ = x.shape
+    k = kernel_shape[0]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    dk = np.zeros(kernel_shape)
+    for u in range(k):
+        for v in range(k):
+            dk[u, v] = np.tensordot(xp[:, u : u + h, v : v + w, :], grad, axes=([0, 1, 2], [0, 1, 2]))
+    return dk
 
 
 def mean_pool_oracle(x):

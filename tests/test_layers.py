@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from bandsel.errors import ConfigError, DimensionError, StateError
 from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, sigmoid
 
-from oracles import conv2d_oracle, matmul_oracle, mean_pool_oracle, sigmoid_oracle
+from oracles import (
+    conv2d_oracle,
+    conv_kernel_grad_oracle,
+    matmul_oracle,
+    mean_pool_oracle,
+    padded_correlate_reference,
+    padded_kernel_grad_reference,
+    sigmoid_oracle,
+)
 
 
 @st.composite
@@ -16,14 +24,16 @@ def conv_case(draw):
     """An identity-activation conv layer with an input x and an output-shaped y.
 
     Heights and widths are drawn independently, down to sizes below the
-    kernel side, so padding reaches across the whole input.
+    kernel side, so padding reaches across the whole input. Each of x and y
+    is C-ordered or the transposed view of a C-ordered array.
     """
     k = draw(st.sampled_from([1, 3, 5]))
-    batch, h, w = draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    batch, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layer = Conv2DLayer(cin, cout, k, activation="identity", rng=rng)
-    return layer, rng.standard_normal((batch, h, w, cin)), rng.standard_normal((batch, h, w, cout))
+    x, y = rng.standard_normal((batch, h, w, cin)), rng.standard_normal((batch, h, w, cout))
+    return layer, *(np.ascontiguousarray(a.T).T if draw(st.booleans()) else a for a in (x, y))
 
 
 class TestDenseForward:
@@ -99,6 +109,42 @@ class TestConvForward:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             Conv2DLayer(1, 1, 2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("in_channels, out_channels", [(3, 0), (0, 3), (-1, 2), (2, -1)])
+    def test_non_positive_channels_rejected(self, in_channels, out_channels):
+        with pytest.raises(ConfigError, match="channels"):
+            Conv2DLayer(in_channels, out_channels, 3, rng=np.random.default_rng(0))
+
+    @given(conv_case())
+    def test_keeps_the_padded_copy_references_bits(self, case):
+        # The references run on C-ordered copies, so a transposed view must
+        # give the bits of its C-ordered values. The one exception is a
+        # kernel gradient that is a matrix-vector product (one input or output
+        # channel) over a one-pixel-wide input where exactly one of batch and
+        # height exceeds 1: there the reference hands BLAS a strided view of
+        # its padded copy, and BLAS rounds that product differently.
+        layer, x, y = case
+        k, _, cin, cout = layer.kernels.shape
+        batch, h, w, _ = x.shape
+        xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        out = layer.forward(x)
+        np.testing.assert_array_equal(out, padded_correlate_reference(xc, layer.kernels) + layer.bias)
+        d_x = layer.backward(y)
+        np.testing.assert_array_equal(d_x, padded_correlate_reference(yc, layer.kernels[::-1, ::-1].transpose(0, 1, 3, 2)))
+        np.testing.assert_array_equal(layer.grad_bias, y.sum(axis=(0, 1, 2)))
+        expected = padded_kernel_grad_reference(xc, yc, layer.kernels.shape)
+        if k > 1 and w == 1 and (batch > 1) != (h > 1) and min(cin, cout) == 1:
+            np.testing.assert_allclose(layer.grad_kernels, expected, rtol=1e-12, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(layer.grad_kernels, expected)
+
+    @given(conv_case())
+    def test_kernel_gradient_matches_nested_loop_oracle(self, case):
+        layer, x, y = case
+        layer.forward(x)
+        layer.backward(y)
+        expected = conv_kernel_grad_oracle(x, y, layer.kernels.shape[0])
+        np.testing.assert_allclose(layer.grad_kernels, expected, rtol=1e-12, atol=1e-12)
 
     @given(conv_case())
     def test_adjointness_of_conv_and_transposed_conv(self, case):

@@ -164,6 +164,25 @@ def test_flat_buffer_slices_follow_layer_order():
     assert np.shares_memory(layer.grad_kernels, model.grads)
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: (BandSelectorFC(6, rng=rng), rng.random((5, 6))),
+    lambda rng: (BandSelectorConv(4, bam_conv_channels=3, bam_hidden=5, rec_channels=(4, 3, 3, 4), rng=rng),
+                 rng.random((3, 5, 5, 4))),
+], ids=["fc", "conv"])
+def test_backprop_writes_gradients_into_the_flat_buffer(make):
+    # Adam reads only model.grads: a layer that rebound a grad_* attribute
+    # would leave its slice of the buffer at zero.
+    model, batch = make(np.random.default_rng(0))
+    model.backprop(batch, 1e-2)
+    assert np.any(model.grads != 0.0)
+    for branch, stack in (("bam", model.bam), ("rec", model.rec)):
+        for i, layer in enumerate(stack.layers):
+            for field in layer.param_fields:
+                grad = getattr(layer, f"grad_{field}")
+                assert np.shares_memory(grad, model.grads)
+                np.testing.assert_array_equal(grad.ravel(), model.grads[model.slices[f"{branch}.layer{i}.{field}"]])
+
+
 def test_each_selector_rejects_the_other_variants_batch():
     fc = BandSelectorFC(5, bam_hidden=(4,), rec_hidden=(4,), rng=np.random.default_rng(0))
     conv = BandSelectorConv(5, bam_conv_channels=3, bam_hidden=4, rec_channels=(3, 3, 3, 3),
