@@ -255,8 +255,8 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (BandselError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BandselError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -186,4 +186,4 @@ def extract_patches(cube, window, stride):
     views = np.lib.stride_tricks.sliding_window_view(cube.values, (a, a), axis=(0, 1))
     sub = views[::t, ::t]  # [n_i, n_j, bands, a, a]
     n_i, n_j = sub.shape[0], sub.shape[1]
-    return sub.transpose(0, 1, 3, 4, 2).reshape(n_i * n_j, a, a, cube.bands).copy()
+    return np.array(sub.transpose(0, 1, 3, 4, 2), order="C").reshape(n_i * n_j, a, a, cube.bands)

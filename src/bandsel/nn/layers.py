@@ -18,7 +18,10 @@ correlation with flipped, channel-swapped kernels. Each kernel tap is one GEMM
 on the input shifted into one reused zero-bordered buffer (no padded copy),
 written into a reused tap buffer or straight into the ``grad_kernels`` view.
 The GEMMs get a padded copy's operands and the taps are summed in its order,
-so the bits are kept.
+so the bits are kept. The forward correlation takes its batch in chunks of
+whole samples of at most ``CONV_CHUNK_ELEMENTS`` input elements, which bounds
+both buffers; a training batch (32 patches of 7 x 7, up to 128 channels) is
+one chunk, so only larger passes, such as the averaging pass, split.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from bandsel.errors import ConfigError, DimensionError, StateError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
+CONV_CHUNK_ELEMENTS = 2**18
 
 
 def sigmoid(x):
@@ -103,16 +107,16 @@ class DenseLayer:
         return d_pre @ self.weights.T
 
 
-def _shifted_windows(x, k):
+def _shifted_windows(x, k, buffer):
     """Yield ``(u, v, window)`` per tap of a ``k x k`` kernel, in row-major order.
 
     ``window[:, i, j]`` is ``x[:, i + u - k//2, j + v - k//2]``, zero outside x: the
-    centre window is C-ordered x itself, every other one the same reused buffer.
+    centre window is C-ordered x itself, every other one ``buffer``, a C-ordered
+    array shaped like x that is overwritten for each tap.
     """
     x = np.ascontiguousarray(x)
     _, h, w, _ = x.shape
     p = k // 2
-    buffer = np.empty_like(x)
     for u, v in np.ndindex(k, k):
         if u == v == p:
             yield u, v, x
@@ -126,14 +130,20 @@ def _shifted_windows(x, k):
 def _correlate(x, kernels):
     """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout].
 
-    Adds each shifted [B*H*W, Cin] window's GEMM through one reused tap buffer,
-    with the operands and order of the padded-copy reference in ``tests/oracles.py``.
+    Per chunk of whole samples (CONV_CHUNK_ELEMENTS input elements, at least one sample),
+    adds each shifted window's GEMM into the chunk's row block of the output, through a
+    window and a tap buffer all chunks reuse, with the operands and order of the padded-copy
+    reference in ``tests/oracles.py``. BLAS's small-GEMM path rounds a transposed operand
+    differently, so the adjoint's transposed kernels keep the whole batch in one chunk.
     """
     batch, h, w, cin = x.shape
-    out = np.zeros((batch * h * w, kernels.shape[3]))
-    tap = np.empty_like(out)
-    for u, v, window in _shifted_windows(x, kernels.shape[0]):
-        out += np.dot(window.reshape(out.shape[0], cin), kernels[u, v], out=tap)
+    out = np.zeros((batch, h * w, kernels.shape[3]))
+    n = min(batch, max(1, CONV_CHUNK_ELEMENTS // (h * w * cin)) if kernels.flags.c_contiguous else batch)
+    buffer, tap = np.empty((n, h, w, cin)), np.empty((n * h * w, kernels.shape[3]))
+    for start in range(0, batch, n):
+        block = out[start : start + n].reshape(-1, kernels.shape[3])
+        for u, v, window in _shifted_windows(x[start : start + n], kernels.shape[0], buffer[: batch - start]):
+            block += np.dot(window.reshape(len(block), cin), kernels[u, v], out=tap[: len(block)])
     return out.reshape(batch, h, w, -1)
 
 
@@ -150,7 +160,7 @@ def _kernel_grad(x, grad, out):
     grad = np.ascontiguousarray(grad).reshape(rows, -1)
     view = out.shape[0] == 1 or sum(n > 1 for n in x.shape[:3]) <= 1
     source = x if view else np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(cin * batch, h, w, 1)
-    for u, v, window in _shifted_windows(source, out.shape[0]):
+    for u, v, window in _shifted_windows(source, out.shape[0], np.empty(source.shape)):
         np.dot(window.reshape(rows, cin).T if view else window.reshape(cin, rows), grad, out=out[u, v])
 
 

@@ -50,7 +50,12 @@ class TrainConfig:
 
 
 def _full_averaged_weights(model, samples):
-    """Mean band weight over every sample, evaluated in chunks of AVERAGING_CHUNK."""
+    """Mean band weight over every sample, evaluated in chunks of AVERAGING_CHUNK samples.
+
+    The chunk stays a sample count, not a byte budget: the dense tail's GEMMs round
+    differently below ~100 rows, and a split sum regroups, so smaller chunks change
+    bits. The conv layers bound their own scratch memory (``CONV_CHUNK_ELEMENTS``).
+    """
     total = np.zeros(model.bands)
     for start in range(0, samples.shape[0], AVERAGING_CHUNK):
         part = samples[start : start + AVERAGING_CHUNK]

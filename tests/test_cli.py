@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bandsel import cli
 from bandsel.cli import main, parse_k_range
 from bandsel.cube import MAGIC, HsiCube, load_cube, save_cube
 from bandsel.selection import SelectionResult
@@ -157,6 +158,23 @@ def test_diverging_training_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("exc, message", [(MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB"),
+                                            (MemoryError(), "MemoryError")])
+def test_memory_error_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    cube = make_cube(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    code = main(["train", "--input", str(cube), "--out-prefix", str(out_dir / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out_dir.iterdir())
 
 
 @pytest.mark.parametrize("command", ["metrics", "eval"])
@@ -485,31 +503,37 @@ def run_quietly(argv):
     return code, err.getvalue()
 
 
+def assert_clean_failure(code, err, out_dir):
+    """A non-zero exit prints ``error:`` first, no traceback, and leaves no output file behind."""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not os.listdir(out_dir), (code, err)
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_cube())
 def test_mutated_cube_exits_cleanly(raw):
-    """Any damage to a cube file ends in exit 0, 2 or 3 with an ``error:`` line, never an exception."""
+    """Any damage to a cube file ends in exit 0, 2 or 3, never an exception; a failure writes nothing."""
     argvs = (["eval", "--include-random", "--k", "2", "--runs", "1"], ["metrics", "--k", "2:3"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cube.hsic")
         with open(path, "wb") as fh:
             fh.write(raw)
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
         for argv in argvs:
-            code, err = run_quietly([*argv, "--input", path, "--out-prefix", os.path.join(tmp, "out")])
+            code, err = run_quietly([*argv, "--input", path, "--out-prefix", os.path.join(out_dir, "o")])
             assert code in (0, 2, 3)
-            assert code == 0 or err.startswith("error:")
+            if code:
+                assert_clean_failure(code, err, out_dir)
+            else:
+                for name in os.listdir(out_dir):
+                    os.remove(os.path.join(out_dir, name))
 
 
 @pytest.fixture(scope="module")
 def fuzz_cube(tmp_path_factory):
     """A labeled 6x5x8 synthetic cube shared by the fuzz tests below."""
     return str(make_cube(tmp_path_factory.mktemp("fuzz"), rows=6, cols=5, bands=8))
-
-
-def assert_clean_failure(code, err, out_dir):
-    """A non-zero exit prints ``error:`` first, no traceback, and leaves no output file behind."""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not os.listdir(out_dir), (code, err)
 
 
 def reject_constant(token):

@@ -168,6 +168,12 @@ class TestExtractPatches:
         for patch, (i, j) in zip(out, offsets):
             np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
 
+    def test_holds_one_copy_of_the_patch_set(self, traced_peak):
+        cube = random_cube(np.random.default_rng(17), 48, 48, 100)
+        out, peak = traced_peak(extract_patches, cube, 7, 2)
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert peak <= 1.05 * out.nbytes + 2**20
+
     def test_oversized_window_rejected(self):
         cube = random_cube(np.random.default_rng(16), 4, 4, 2)
         with pytest.raises(ConfigError):

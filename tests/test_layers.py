@@ -1,12 +1,14 @@
 """Forward-pass contracts of the layer zoo against loop oracles and identities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bandsel.errors import ConfigError, DimensionError, StateError
-from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, sigmoid
+from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, layers, sigmoid
 
 from oracles import (
     conv2d_oracle,
@@ -157,6 +159,50 @@ class TestConvForward:
         rhs = np.sum(x * layer.backward(y))
         scale = np.abs(x).sum() * np.abs(y).sum() * np.abs(layer.kernels).max()
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def chunk_sizes(x, kernels, budget=layers.CONV_CHUNK_ELEMENTS):
+    """``_correlate(x, kernels)`` under a chunk budget, and the sample count of each chunk."""
+    with mock.patch.object(layers, "_shifted_windows", wraps=layers._shifted_windows) as spy, \
+            mock.patch.object(layers, "CONV_CHUNK_ELEMENTS", budget):
+        out = layers._correlate(x, kernels)
+    return out, [call.args[0].shape[0] for call in spy.call_args_list]
+
+
+class TestConvChunks:
+    # The selector's conv shapes: attention conv bands -> 64, reconstruction
+    # bands -> 128 -> 64 -> 64 -> 128 and the 1 x 1 head 128 -> bands.
+    @pytest.mark.parametrize("cin, cout, k", [(100, 64, 3), (200, 64, 3), (100, 128, 3), (128, 64, 3),
+                                              (64, 128, 3), (128, 200, 1)])
+    def test_chunked_batch_keeps_the_reference_bits(self, cin, cout, k):
+        rng = np.random.default_rng(cin + cout)
+        x = rng.random((11, 7, 7, cin))
+        kernels = Conv2DLayer(cin, cout, k, rng=rng).kernels
+        out, chunks = chunk_sizes(x, kernels, budget=3 * 7 * 7 * cin + 5)
+        assert chunks == [3, 3, 3, 2]
+        np.testing.assert_array_equal(out, padded_correlate_reference(x, kernels))
+
+    @pytest.mark.parametrize("cin, cout", [(100, 128), (200, 128), (128, 64), (64, 64), (64, 128)])
+    def test_adjoint_under_a_small_budget_keeps_the_reference_bits(self, cin, cout):
+        rng = np.random.default_rng(cin * cout)
+        d = rng.standard_normal((11, 7, 7, cout))
+        flipped = Conv2DLayer(cin, cout, 3, rng=rng).kernels[::-1, ::-1].transpose(0, 1, 3, 2)
+        out, _ = chunk_sizes(d, flipped, budget=7 * 7 * cout)
+        np.testing.assert_array_equal(out, padded_correlate_reference(d, flipped))
+
+    @pytest.mark.parametrize("channels", [1, 64, 100, 128])
+    def test_a_training_batch_is_one_chunk(self, channels):
+        _, chunks = chunk_sizes(np.zeros((32, 7, 7, channels)), np.zeros((3, 3, channels, 64)))
+        assert chunks == [32]
+
+    @given(case=conv_case(), budget=st.integers(1, 120))
+    def test_any_budget_keeps_the_layers_bits(self, case, budget):
+        layer, x, y = case
+        with mock.patch.object(layers, "CONV_CHUNK_ELEMENTS", budget):
+            out, d_x = layer.forward(x), layer.backward(y)
+        xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        np.testing.assert_array_equal(out, padded_correlate_reference(xc, layer.kernels) + layer.bias)
+        np.testing.assert_array_equal(d_x, padded_correlate_reference(yc, layer.kernels[::-1, ::-1].transpose(0, 1, 3, 2)))
 
 
 class TestGlobalPool:

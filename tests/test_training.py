@@ -7,7 +7,7 @@ from bandsel.cube import extract_patches, extract_pixels, scale_unit
 from bandsel.errors import ConfigError, DimensionError, NumericError
 from bandsel.models import BandSelectorConv, BandSelectorFC
 from bandsel.synthetic import SynthSpec, synth_generate
-from bandsel.training import TrainConfig, train
+from bandsel.training import TrainConfig, _full_averaged_weights, train
 
 
 def small_samples(seed=0, n=40, bands=12):
@@ -136,3 +136,13 @@ class TestSelectorDispatch:
     def test_other_sample_shapes_are_rejected(self, shape):
         with pytest.raises(DimensionError, match="spectra"):
             train(np.zeros(shape), TrainConfig(max_epochs=1))
+
+
+def test_averaging_pass_scratch_is_bounded(traced_peak):
+    # 441 patches of 7 x 7 x 100, the conv bench's averaging pass. The
+    # attention conv's scratch is chunk-sized, so the pass holds its
+    # 10.5 MiB output and a few MiB of buffers, not patch-set-sized ones.
+    patches = np.random.default_rng(1).random((441, 7, 7, 100))
+    model = BandSelectorConv(100, rng=np.random.default_rng(0))
+    _, peak = traced_peak(_full_averaged_weights, model, patches)
+    assert peak <= 18 * 2**20
