@@ -12,11 +12,19 @@ A cube is rows x cols x bands of reflectance values. The on-disk format is:
 
 Values are held in memory as float64; the payload is float32, so a
 save/load round trip is exact for float32-representable values.
+
+Memory: each pipeline stage holds one float64 array the size of the cube,
+plus bounded scratch. ``load_cube`` checks every size against the file's
+length, then fills one float64 array from reads of ``CHUNK_ELEMENTS``
+values; ``scale_unit`` rescales that array in place; ``extract_pixels``
+returns a view of it. ``metrics.variance_rank`` shares the same chunk
+budget for its scratch.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +34,7 @@ from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
 from bandsel.fileio import atomic_write
 
 MAGIC = b"HSICUBE1"
+CHUNK_ELEMENTS = 2**18  # values per read in load_cube and per variance block in metrics
 
 
 @dataclass
@@ -42,6 +51,15 @@ class HsiCube:
             raise DimensionError(f"cube values must be rows x cols x bands, got shape {tuple(self.values.shape)}")
         if min(self.values.shape) < 1:
             raise DimensionError(f"cube axes must be non-empty, got shape {tuple(self.values.shape)}")
+        # A finite sum proves every value finite; only an overflowing or
+        # non-finite sum needs the element-wise check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.values.sum()
+        if not np.isfinite(total):
+            finite = np.isfinite(self.values)
+            if not finite.all():
+                r, c, b = np.unravel_index(np.argmin(finite), self.values.shape)
+                raise DataError(f"non-finite value at pixel ({r},{c}) band {b}")
         if self.band_labels is not None:
             self.band_labels = np.asarray(self.band_labels, dtype=np.int64)
             if self.band_labels.shape != (self.bands,):
@@ -91,84 +109,102 @@ def _is_int(value):
 
 
 def load_cube(path):
-    """Read a cube file, validating magic, header, and payload sizes."""
+    """Read a cube file, validating magic, header, and payload sizes.
+
+    Every size is checked against the file's length before anything is
+    allocated. The payload then fills one float64 array, ``CHUNK_ELEMENTS``
+    float32 values per read, so the file's bytes are never held whole.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 4:
-        raise FormatError(f"file too short for magic and header length (size {len(data)})")
-    if data[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"bad magic at offset 0: {data[:len(MAGIC)]!r}")
-    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
-    offset = len(MAGIC) + 4
-    if len(data) < offset + hlen:
-        raise FormatError(f"truncated header at offset {offset}: need {hlen} bytes")
-    try:
-        header = json.loads(data[offset : offset + hlen].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, deep nesting
-        raise FormatError(f"unparseable header at offset {offset}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"header at offset {offset} is not a JSON object")
-    offset += hlen
-    try:
-        rows, cols, bands = header["rows"], header["cols"], header["bands"]
-        dtype = header["dtype"]
-        has_gt = header["has_gt"]
-    except KeyError as exc:
-        raise FormatError(f"header missing field {exc}") from exc
-    if not isinstance(has_gt, bool):
-        raise FormatError(f"has_gt in header must be true or false, got {has_gt!r}")
-    if not all(_is_int(v) for v in (rows, cols, bands)):
-        raise FormatError(f"cube dimensions must be integers, got {rows!r}x{cols!r}x{bands!r} in header")
-    if dtype != "f32":
-        raise FormatError(f"unsupported dtype {dtype!r}")
-    if rows < 1 or cols < 1 or bands < 1:
-        raise FormatError(f"non-positive cube dimensions {rows}x{cols}x{bands} in header")
-    labels = header.get("band_labels")
-    if labels is not None and not (isinstance(labels, list) and len(labels) == bands
-                                   and all(_is_int(v) and -2**63 <= v < 2**63 for v in labels)):
-        raise FormatError(f"band_labels in header must be a list of {bands} 64-bit integers")
-    n_values = rows * cols * bands
-    if len(data) < offset + 4 * n_values:
-        raise FormatError(f"truncated value payload at offset {offset}: need {4 * n_values} bytes")
-    values = np.frombuffer(data, dtype="<f4", count=n_values, offset=offset)
-    values = values.astype(np.float64).reshape(rows, cols, bands)
-    # Finite float32 values cannot overflow a float64 sum, so the sum is
-    # finite exactly when every value is.
-    if not np.isfinite(values.sum()):
-        r, c, b = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
-        raise DataError(f"non-finite value at pixel ({r},{c}) band {b}")
-    offset += 4 * n_values
-    gt = None
-    if has_gt:
-        if len(data) < offset + 4 * rows * cols:
-            raise FormatError(f"truncated ground truth at offset {offset}: need {4 * rows * cols} bytes")
-        gt = np.frombuffer(data, dtype="<u4", count=rows * cols, offset=offset).reshape(rows, cols).copy()
-        offset += 4 * rows * cols
-    if len(data) != offset:
-        raise FormatError(f"{len(data) - offset} trailing bytes at offset {offset}")
-    return HsiCube(values, band_labels=labels, ground_truth=gt)
+        size = os.fstat(fh.fileno()).st_size
+        offset = len(MAGIC) + 4
+        if size < offset:
+            raise FormatError(f"file too short for magic and header length (size {size})")
+        head = _read_exactly(fh, offset)
+        if head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"bad magic at offset 0: {head[:len(MAGIC)]!r}")
+        (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
+        if size < offset + hlen:
+            raise FormatError(f"truncated header at offset {offset}: need {hlen} bytes")
+        try:
+            header = json.loads(_read_exactly(fh, hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, deep nesting
+            raise FormatError(f"unparseable header at offset {offset}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"header at offset {offset} is not a JSON object")
+        offset += hlen
+        try:
+            rows, cols, bands = header["rows"], header["cols"], header["bands"]
+            dtype = header["dtype"]
+            has_gt = header["has_gt"]
+        except KeyError as exc:
+            raise FormatError(f"header missing field {exc}") from exc
+        if not isinstance(has_gt, bool):
+            raise FormatError(f"has_gt in header must be true or false, got {has_gt!r}")
+        if not all(_is_int(v) for v in (rows, cols, bands)):
+            raise FormatError(f"cube dimensions must be integers, got {rows!r}x{cols!r}x{bands!r} in header")
+        if dtype != "f32":
+            raise FormatError(f"unsupported dtype {dtype!r}")
+        if rows < 1 or cols < 1 or bands < 1:
+            raise FormatError(f"non-positive cube dimensions {rows}x{cols}x{bands} in header")
+        labels = header.get("band_labels")
+        if labels is not None and not (isinstance(labels, list) and len(labels) == bands
+                                       and all(_is_int(v) and -2**63 <= v < 2**63 for v in labels)):
+            raise FormatError(f"band_labels in header must be a list of {bands} 64-bit integers")
+        n_values = rows * cols * bands
+        if size < offset + 4 * n_values:
+            raise FormatError(f"truncated value payload at offset {offset}: need {4 * n_values} bytes")
+        end = offset + 4 * n_values
+        if has_gt:
+            if size < end + 4 * rows * cols:
+                raise FormatError(f"truncated ground truth at offset {end}: need {4 * rows * cols} bytes")
+            end += 4 * rows * cols
+        if size != end:
+            raise FormatError(f"{size - end} trailing bytes at offset {end}")
+        values = np.empty(n_values)
+        for start in range(0, n_values, CHUNK_ELEMENTS):
+            stop = min(start + CHUNK_ELEMENTS, n_values)
+            with np.errstate(invalid="ignore"):  # a signaling NaN; HsiCube names its pixel
+                values[start:stop] = np.frombuffer(_read_exactly(fh, 4 * (stop - start)), dtype="<f4")
+        gt = None
+        if has_gt:
+            gt = np.frombuffer(_read_exactly(fh, 4 * rows * cols), dtype="<u4").reshape(rows, cols).copy()
+    return HsiCube(values.reshape(rows, cols, bands), band_labels=labels, ground_truth=gt)
+
+
+def _read_exactly(fh, n_bytes):
+    """The next ``n_bytes`` of ``fh``; FormatError if the file ends first."""
+    data = fh.read(n_bytes)
+    if len(data) != n_bytes:
+        raise FormatError(f"short read at offset {fh.tell() - len(data)}: need {n_bytes} bytes, got {len(data)}")
+    return data
 
 
 def scale_unit(cube):
-    """Affine-map the whole cube so its global minimum is 0 and maximum is 1.
+    """Affine-map the whole cube in place so its global minimum is 0 and maximum is 1.
 
-    A constant cube maps to all zeros.
+    ``cube.values`` is overwritten and the same cube is returned, so no
+    second cube-sized array exists; keep a copy first if the raw values are
+    still needed. A constant cube maps to all zeros.
     """
     values = cube.values
-    if not np.all(np.isfinite(values)):
-        raise DataError("cube contains non-finite values; cannot scale")
     lo = values.min()
     hi = values.max()
     if hi == lo:
-        scaled = np.zeros_like(values)
+        values.fill(0.0)
     else:
-        scaled = (values - lo) / (hi - lo)
-    return HsiCube(scaled, band_labels=cube.band_labels, ground_truth=cube.ground_truth)
+        values -= lo
+        values /= hi - lo
+    return cube
 
 
 def extract_pixels(cube):
-    """All spectral vectors [S, bands] in row-major pixel order: S = rows * cols."""
-    return cube.values.reshape(cube.rows * cube.cols, cube.bands).copy()
+    """All spectral vectors [S, bands] in row-major pixel order: S = rows * cols.
+
+    The result is a view of ``cube.values`` (a copy only if the cube's array
+    is not C-ordered); writing to it writes to the cube.
+    """
+    return cube.values.reshape(cube.rows * cube.cols, cube.bands)
 
 
 def extract_patches(cube, window, stride):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from bandsel import cube as _cube
 from bandsel.errors import ConfigError
 from bandsel.selection import select_top_k
 
@@ -37,6 +38,8 @@ def band_histogram(cube, band_index, n_bins=256):
         raise ConfigError(f"band index {band_index} out of range for {cube.bands}-band cube")
     if n_bins < 2:
         raise ConfigError(f"need at least 2 bins, got {n_bins}")
+    if cube.bands * n_bins > 2**24:  # 128 MiB of int64 counts for the whole table
+        raise ConfigError(f"{n_bins} bins x {cube.bands} bands is over the cap of 2**24 histogram counts")
     values = cube.values[:, :, band_index]
     bins = np.floor(values * (n_bins - 1) + 0.5).astype(np.int64)
     np.clip(bins, 0, n_bins - 1, out=bins)
@@ -87,9 +90,28 @@ def variance_rank(cube, k):
 
     Ties break toward the lower band index. The variance scores are stored
     in the result's averaged-weights slot.
+
+    The scores equal ``flat.var(axis=0)`` bit for bit without its cube-sized
+    temporary. numpy sums a C-ordered [n, b >= 2] array down axis 0 one row
+    at a time, so the squared deviations are summed over row blocks of
+    ``CHUNK_ELEMENTS // b`` rows through one buffer whose spare top row
+    carries the running sum into the next block. A 1-band cube is one block,
+    because numpy sums a contiguous column pairwise.
     """
     flat = cube.values.reshape(-1, cube.bands)
-    variances = flat.var(axis=0)
+    n, bands = flat.shape
+    mean = flat.sum(axis=0, keepdims=True) / n
+    block = max(1, _cube.CHUNK_ELEMENTS // bands) if bands > 1 else n
+    buf = np.empty((min(block, n) + 1, bands))
+    for start in range(0, n, block):
+        rows = flat[start : start + block]
+        sq = buf[1 : len(rows) + 1]
+        np.subtract(rows, mean, out=sq)
+        np.square(sq, out=sq)
+        if start:
+            buf[0] = total
+        total = buf[0 if start else 1 : len(rows) + 1].sum(axis=0)
+    variances = total / n
     return select_top_k(variances, k, config={"selector": "variance"})
 
 

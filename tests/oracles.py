@@ -2,10 +2,13 @@
 
 Everything here is written as plain loops, deliberately ignoring the
 vectorized implementations under test, except the padded-copy references
-for the conv layer, which pin the exact bits the layer must keep.
+for the conv layer and the whole-file cube reader, which pin the exact bits
+and errors the chunked code must keep.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -291,3 +294,66 @@ def report_oracle(y_true, y_pred, n_classes):
     else:
         kappa = (oa - p_e) / (1.0 - p_e)
     return confusion, oa, aa, kappa
+
+
+def whole_file_load_cube_reference(path):
+    """The former cube reader: the whole file as one ``bytes``, checked, then one float64 copy."""
+    from bandsel.cube import MAGIC, HsiCube
+    from bandsel.errors import DataError, FormatError
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < len(MAGIC) + 4:
+        raise FormatError(f"file too short for magic and header length (size {len(data)})")
+    if data[: len(MAGIC)] != MAGIC:
+        raise FormatError(f"bad magic at offset 0: {data[:len(MAGIC)]!r}")
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    offset = len(MAGIC) + 4
+    if len(data) < offset + hlen:
+        raise FormatError(f"truncated header at offset {offset}: need {hlen} bytes")
+    try:
+        header = json.loads(data[offset : offset + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"unparseable header at offset {offset}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"header at offset {offset} is not a JSON object")
+    offset += hlen
+    try:
+        rows, cols, bands = header["rows"], header["cols"], header["bands"]
+        dtype = header["dtype"]
+        has_gt = header["has_gt"]
+    except KeyError as exc:
+        raise FormatError(f"header missing field {exc}") from exc
+    if not isinstance(has_gt, bool):
+        raise FormatError(f"has_gt in header must be true or false, got {has_gt!r}")
+    if not all(is_int(v) for v in (rows, cols, bands)):
+        raise FormatError(f"cube dimensions must be integers, got {rows!r}x{cols!r}x{bands!r} in header")
+    if dtype != "f32":
+        raise FormatError(f"unsupported dtype {dtype!r}")
+    if rows < 1 or cols < 1 or bands < 1:
+        raise FormatError(f"non-positive cube dimensions {rows}x{cols}x{bands} in header")
+    labels = header.get("band_labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == bands
+                                   and all(is_int(v) and -2**63 <= v < 2**63 for v in labels)):
+        raise FormatError(f"band_labels in header must be a list of {bands} 64-bit integers")
+    n_values = rows * cols * bands
+    if len(data) < offset + 4 * n_values:
+        raise FormatError(f"truncated value payload at offset {offset}: need {4 * n_values} bytes")
+    values = np.frombuffer(data, dtype="<f4", count=n_values, offset=offset)
+    values = values.astype(np.float64).reshape(rows, cols, bands)
+    if not np.isfinite(values.sum()):
+        r, c, b = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        raise DataError(f"non-finite value at pixel ({r},{c}) band {b}")
+    offset += 4 * n_values
+    gt = None
+    if has_gt:
+        if len(data) < offset + 4 * rows * cols:
+            raise FormatError(f"truncated ground truth at offset {offset}: need {4 * rows * cols} bytes")
+        gt = np.frombuffer(data, dtype="<u4", count=rows * cols, offset=offset).reshape(rows, cols).copy()
+        offset += 4 * rows * cols
+    if len(data) != offset:
+        raise FormatError(f"{len(data) - offset} trailing bytes at offset {offset}")
+    return HsiCube(values, band_labels=labels, ground_truth=gt)

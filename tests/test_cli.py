@@ -319,6 +319,21 @@ class TestMetrics:
         for suffix in ("_entropy.csv", "_msd.csv", "_metrics.meta.json"):
             assert not (tmp_path / f"m{suffix}").exists()
 
+    @pytest.mark.parametrize("n_bins", [10**9, 2**62, 10**30], ids=["1e9", "2^62", "1e30"])
+    def test_huge_bin_count_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch, fuzz_cube, n_bins):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a histogram was allocated")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        capsys.readouterr()
+        code = main(["metrics", "--input", fuzz_cube, "--n-bins", str(n_bins), "--out-prefix", str(out_dir / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(out_dir.iterdir())
+
 
 class TestEval:
     def test_sweep_emits_expected_row_counts_with_seeds(self, tmp_path):
@@ -451,6 +466,20 @@ def test_malformed_cube_exits_3_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_signaling_nan_payload_prints_only_the_error_line(tmp_path, capsys):
+    payload = bytearray(np.asarray(PAYLOAD, dtype="<f4").tobytes())
+    payload[4:8] = b"\x01\x00\x80\x7f"  # a float32 signaling NaN at pixel (0,0) band 1
+    blob = json.dumps(HEADER).encode()
+    cube_path = tmp_path / "snan.hsic"
+    cube_path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + bytes(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["metrics", "--input", str(cube_path), "--k", "2", "--out-prefix", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: non-finite value at pixel (0,0) band 1\n"
     assert not list(tmp_path.glob("out*"))
 
 

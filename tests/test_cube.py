@@ -1,14 +1,19 @@
 """Cube container, file round trips, scaling, and sampling."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bandsel import cube as cube_module
 from bandsel.cube import HsiCube, extract_patches, extract_pixels, load_cube, save_cube, scale_unit
 from bandsel.errors import ConfigError, DataError, DimensionError, FormatError
 
-from oracles import patch_offsets_oracle
+from oracles import patch_offsets_oracle, whole_file_load_cube_reference
 
 
 def random_cube(rng, rows, cols, bands, with_gt=False):
@@ -73,6 +78,88 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="magic"):
             load_cube(path)
 
+    def test_file_shorter_than_its_size_is_a_format_error(self, tmp_path, monkeypatch):
+        # Every size check passes against the reported size; the payload read comes up short.
+        cube = random_cube(np.random.default_rng(5), 3, 4, 5, with_gt=True)
+        path = tmp_path / "cube.hsic"
+        save_cube(cube, path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-7])
+        real_fstat = os.fstat
+        monkeypatch.setattr(cube_module.os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], full, *real_fstat(fd)[7:])))
+        with pytest.raises(FormatError, match="short read"):
+            load_cube(path)
+
+    def test_holds_one_float64_copy_of_the_payload(self, traced_peak, tmp_path):
+        cube = random_cube(np.random.default_rng(6), 64, 64, 96)
+        path = tmp_path / "cube.hsic"
+        save_cube(cube, path)
+        with mock.patch.object(cube_module, "CHUNK_ELEMENTS", 2**16):
+            loaded, peak = traced_peak(load_cube, path)
+        np.testing.assert_array_equal(loaded.values, cube.values)
+        # The whole-file reader held 4 bytes per value beside the 8 of the copy.
+        assert peak <= 8 * cube.values.size + 2**20
+
+
+@st.composite
+def damaged_cube_file(draw):
+    """A small valid cube file, then truncated, padded or byte-mutated (or left whole)."""
+    rows, cols, bands = (draw(st.integers(1, 4), label=axis) for axis in ("rows", "cols", "bands"))
+    n = rows * cols * bands
+    values = draw(st.sampled_from([0.0, 1.0, 3e38]), label="scale") * np.arange(1, n + 1) / n
+    labels = list(range(1, 2 * bands + 1, 2)) if draw(st.booleans(), label="labels") else None
+    gt = np.arange(rows * cols, dtype=np.uint32).reshape(rows, cols) if draw(st.booleans(), label="gt") else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cube.hsic")
+        save_cube(HsiCube(values.reshape(rows, cols, bands).astype(np.float32), band_labels=labels,
+                          ground_truth=gt), path)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+    kind = draw(st.sampled_from(["whole", "truncate", "pad", "mutate"]), label="damage")
+    if kind == "truncate":
+        return bytes(data[: draw(st.integers(0, len(data) - 1), label="cut")])
+    if kind == "pad":
+        return bytes(data) + draw(st.binary(min_size=1, max_size=16), label="padding")
+    if kind == "mutate":
+        for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)),
+                                       min_size=1, max_size=6), label="edits"):
+            data[pos] = byte
+    return bytes(data)
+
+
+def load_outcome(loader, path):
+    try:
+        return loader(path), None
+    except (FormatError, DataError) as exc:
+        return None, exc
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")  # the reference's sNaN cast
+@given(raw=damaged_cube_file(), chunk=st.sampled_from([1, 3, 2**18]))
+def test_chunked_loader_matches_the_whole_file_reader(raw, chunk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cube.hsic")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with mock.patch.object(cube_module, "CHUNK_ELEMENTS", chunk):
+            got, got_exc = load_outcome(load_cube, path)
+        want, want_exc = load_outcome(whole_file_load_cube_reference, path)
+    if want_exc is not None:
+        if isinstance(want_exc, DataError) and "non-finite" in str(want_exc) and isinstance(got_exc, FormatError):
+            # The finite check now runs after every size check, so a later size error wins.
+            return
+        assert type(got_exc) is type(want_exc) and str(got_exc) == str(want_exc)
+        return
+    assert got_exc is None, got_exc
+    np.testing.assert_array_equal(got.values, want.values)
+    for field in ("band_labels", "ground_truth"):
+        expected = getattr(want, field)
+        if expected is None:
+            assert getattr(got, field) is None
+        else:
+            np.testing.assert_array_equal(getattr(got, field), expected)
+
 
 class TestScaleUnit:
     def test_eight_bit_range_maps_to_unit_interval(self):
@@ -98,6 +185,22 @@ class TestScaleUnit:
         with pytest.raises(DataError):
             scale_unit(HsiCube(values))
 
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           lo=st.floats(-1e300, 1e300), span=st.sampled_from([0.0, 1e-300, 1.0, 3.0, 1e300]))
+    def test_in_place_result_equals_the_out_of_place_formula(self, shape, lo, span):
+        values = lo + span * np.random.default_rng(sum(shape)).random(shape)
+        want = np.zeros(shape) if values.max() == values.min() else \
+            (values - values.min()) / (values.max() - values.min())
+        cube = HsiCube(values.copy())
+        np.testing.assert_array_equal(scale_unit(cube).values, want)
+
+    def test_scales_in_place(self, traced_peak):
+        cube = random_cube(np.random.default_rng(7), 64, 64, 64)
+        values = cube.values
+        out, peak = traced_peak(scale_unit, cube)
+        assert out is cube and out.values is values
+        assert peak < 2**20
+
 
 class TestExtractPixels:
     def test_count_is_rows_times_cols(self):
@@ -121,6 +224,12 @@ class TestExtractPixels:
         cube = random_cube(np.random.default_rng(12), 6, 7, 2)
         samples = extract_pixels(cube)
         np.testing.assert_array_equal(samples.reshape(6, 7, 2), cube.values)
+
+    def test_is_a_c_ordered_view_of_the_cube(self):
+        cube = random_cube(np.random.default_rng(13), 5, 4, 3)
+        samples = extract_pixels(cube)
+        assert np.shares_memory(samples, cube.values)
+        assert samples.flags.c_contiguous
 
 
 class TestExtractPatches:
@@ -190,3 +299,18 @@ class TestInvariants:
     def test_ground_truth_shape_checked(self):
         with pytest.raises(DimensionError):
             HsiCube(np.zeros((2, 2, 3)), ground_truth=np.zeros((3, 3), dtype=np.uint32))
+
+    def test_huge_finite_values_are_accepted(self):
+        # The values' sum overflows to inf, yet every value is finite.
+        values = np.full((3, 4, 5), 1e308)
+        values[1, 2, 3] = -1e308
+        np.testing.assert_array_equal(HsiCube(values).values, values)
+
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), base=st.sampled_from([0.5, 1e308]))
+    def test_a_non_finite_value_anywhere_names_its_pixel(self, shape, data, bad, base):
+        r, c, b = (data.draw(st.integers(0, n - 1), label=axis) for n, axis in zip(shape, "rcb"))
+        values = np.full(shape, base)
+        values[r, c, b] = bad
+        with pytest.raises(DataError, match=rf"^non-finite value at pixel \({r},{c}\) band {b}$"):
+            HsiCube(values)

@@ -1,10 +1,13 @@
 """Histogram, entropy, divergence, and variance-ranking metrics against loop oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bandsel import cube as cube_module
 from bandsel.cube import HsiCube
 from bandsel.errors import ConfigError
 from bandsel.metrics import (
@@ -51,6 +54,13 @@ class TestHistogram:
             band_histogram(cube, 6, 256)
         with pytest.raises(ConfigError):
             band_histogram(cube, 0, 1)
+
+    def test_bin_count_is_capped_over_the_whole_table(self):
+        cube = unit_cube(np.random.default_rng(2), 4, 4, 8)
+        assert band_histogram(cube, 0, 2**21).sum() == 16
+        for n_bins in (2**21 + 1, 10**9, 2**62, 10**30):
+            with pytest.raises(ConfigError, match="cap"):
+                band_histogram(cube, 0, n_bins)
 
 
 class TestEntropy:
@@ -172,6 +182,24 @@ class TestVarianceRank:
         cube = unit_cube(np.random.default_rng(17))
         with pytest.raises(ConfigError):
             variance_rank(cube, 7)
+
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 7)),
+           budget=st.integers(1, 40), scale=st.sampled_from([1e-160, 1.0, 1e6, 1e150]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 1, 5), budget=1, scale=1.0, seed=0)  # one row
+    @example(shape=(7, 9, 1), budget=4, scale=1.0, seed=0)  # one band: one block
+    @example(shape=(5, 7, 3), budget=12, scale=1.0, seed=0)  # 35 rows in blocks of 4
+    def test_scores_equal_numpy_var_bit_for_bit(self, shape, budget, scale, seed):
+        values = np.random.default_rng(seed).standard_normal(shape) * scale + scale
+        with mock.patch.object(cube_module, "CHUNK_ELEMENTS", budget):
+            scores = variance_rank(HsiCube(values), shape[2]).averaged_weights
+        assert np.array_equal(scores, values.reshape(-1, shape[2]).var(axis=0))
+
+    def test_scratch_is_one_block(self, traced_peak):
+        cube = unit_cube(np.random.default_rng(18), 128, 128, 100)
+        result, peak = traced_peak(variance_rank, cube, 100)
+        assert np.array_equal(result.averaged_weights, cube.values.reshape(-1, 100).var(axis=0))
+        assert peak <= 8 * cube_module.CHUNK_ELEMENTS + 2**20
 
 
 class TestExports:

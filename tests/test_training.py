@@ -46,6 +46,16 @@ class TestTrainLoop:
         _, result = train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
         assert len(result.loss_trace) == 1
 
+    def test_samples_viewing_the_cube_are_left_unchanged(self):
+        spec = SynthSpec(rows=8, cols=5, bands=12, informative=(2, 7), noise_sigma=0.01, seed=3, classes=0)
+        cube = scale_unit(synth_generate(spec))
+        samples = extract_pixels(cube)
+        before = samples.tobytes()
+        cfg = TrainConfig(max_epochs=2, batch_size=16, seed=3)
+        train(samples, cfg, model_kwargs={"bam_hidden": (6,), "rec_hidden": (6,)})
+        assert np.shares_memory(samples, cube.values)
+        assert samples.tobytes() == before
+
     def test_default_k_is_band_count_and_ranking_is_permutation(self):
         samples = small_samples()
         cfg = TrainConfig(max_epochs=2, seed=1)
