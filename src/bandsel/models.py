@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from bandsel.errors import ConfigError
 from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack
 
 
@@ -36,10 +35,9 @@ def reconstruction_loss(x, x_hat, weights, l1_coeff):
     """Batch-mean squared-error plus L1 penalty on the band weights.
 
     Returns (0.5 * sum_i ||x_hat_i - x_i||^2 + l1_coeff * sum_i ||w_i||_1) / S
-    over a batch of S samples.
+    over a batch of S samples. ``TrainConfig`` checks that ``l1_coeff`` is
+    finite and non-negative.
     """
-    if l1_coeff < 0:
-        raise ConfigError(f"l1 coefficient must be non-negative, got {l1_coeff}")
     return (0.5 * np.sum((x_hat - x) ** 2) + l1_coeff * np.sum(np.abs(weights))) / x.shape[0]
 
 
@@ -76,14 +74,10 @@ class _BandSelector:
         """Per-sample band weights in (0, 1): one sigmoid-gated vector per sample."""
         return self.bam.forward(batch)
 
-    def reconstruct(self, reweighted):
-        """Map a re-weighted batch back to spectra shaped like the original input."""
-        return self.rec.forward(reweighted)
-
     def forward(self, batch):
         """Full pass; returns (per-sample weights [S, b], reconstruction like batch)."""
         weights = self.band_weights(batch)
-        x_hat = self.reconstruct(reweight(batch, weights))
+        x_hat = self.rec.forward(reweight(batch, weights))
         return weights, x_hat
 
     def backprop(self, batch, l1_coeff):

@@ -80,7 +80,6 @@ class DenseLayer:
         if in_dim < 1 or out_dim < 1:
             raise ConfigError(f"dense dims must be positive, got {in_dim}x{out_dim}")
         self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
         self.activation = activation
         self.weights = glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
         self.bias = glorot_uniform(rng, (out_dim,), in_dim, out_dim)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bandsel.errors import ConfigError, DimensionError, NumericError
+from bandsel.errors import NumericError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -32,13 +32,10 @@ def adam_step(params, grads, state, learning_rate, names=None):
     and every entry moves by -lr * m_hat / (sqrt(v_hat) + EPS). ``names``
     optionally maps parameter names to slices of the vector; it labels the
     error raised for a non-finite gradient.
+
+    Unchecked here: the rate is positive (``TrainConfig`` checks it), and
+    ``grads`` and ``state`` are shaped like ``params`` (``AdamState(params)``).
     """
-    if learning_rate <= 0:
-        raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-    if params.shape != grads.shape or params.shape != state.first_moment.shape:
-        raise DimensionError(
-            f"parameter/gradient/state shapes differ: {params.shape}, {grads.shape}, {state.first_moment.shape}"
-        )
     finite = np.isfinite(grads)
     if not finite.all():
         index = int(np.argmin(finite))

@@ -49,8 +49,8 @@ class SynthSpec:
             raise ConfigError(f"cube dimensions must be positive, got {self.rows}x{self.cols}x{self.bands}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
-        if self.classes < 0 or self.classes == 1:
-            raise ConfigError(f"classes must be 0 or >= 2, got {self.classes}")
+        if self.classes < 0 or self.classes == 1 or self.classes > self.rows * self.cols:
+            raise ConfigError(f"classes must be 0 or in [2, {self.rows * self.cols}], got {self.classes}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -108,6 +108,19 @@ class TestSynth:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", [10**9, 2**62, 10**24], ids=["1e9", "2^62", "1e24"])
+    def test_more_classes_than_pixels_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch, classes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("class edges were allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code = main(["synth", "--rows", "4", "--cols", "4", "--bands", "8", "--informative", "3",
+                     "--classes", str(classes), "--out", str(tmp_path / "x.hsic")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize("argv", [
     ["train", "--lr=nan"], ["train", "--lr=inf"], ["train", "--l1=nan"], ["train", "--l1=inf"],
@@ -541,8 +554,13 @@ def assert_clean_failure(code, err, out_dir):
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_cube())
 def test_mutated_cube_exits_cleanly(raw):
-    """Any damage to a cube file ends in exit 0, 2 or 3, never an exception; a failure writes nothing."""
-    argvs = (["eval", "--include-random", "--k", "2", "--runs", "1"], ["metrics", "--k", "2:3"])
+    """Any damage to a cube file ends in a documented exit code, never an exception; a failure writes nothing.
+
+    ``eval`` and ``metrics`` exit 0, 2 or 3; ``train`` may also exit 4.
+    """
+    argvs = (["eval", "--include-random", "--k", "2", "--runs", "1"], ["metrics", "--k", "2:3"],
+             ["train", "--variant", "fc", "--maxiter", "1"],
+             ["train", "--variant", "conv", "--a", "3", "--maxiter", "1"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cube.hsic")
         with open(path, "wb") as fh:
@@ -551,7 +569,7 @@ def test_mutated_cube_exits_cleanly(raw):
         os.mkdir(out_dir)
         for argv in argvs:
             code, err = run_quietly([*argv, "--input", path, "--out-prefix", os.path.join(out_dir, "o")])
-            assert code in (0, 2, 3)
+            assert code in ((0, 2, 3, 4) if argv[0] == "train" else (0, 2, 3))
             if code:
                 assert_clean_failure(code, err, out_dir)
             else:
@@ -694,12 +712,28 @@ def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
             assert_finite_outputs(tmp)
 
 
+# Above 300 the draws skip to 2**21 + 1: with 8 bands every count there is over
+# the 2**24-count histogram cap, while a legal count below it allocates up to 128 MiB.
+@settings(max_examples=100)
+@given(n_bins=st.integers(-2, 300) | st.integers(2**21 + 1, 2**70))
+def test_fuzzed_n_bins_exits_cleanly(fuzz_cube, n_bins):
+    """Any ``--n-bins`` exits 0 with finite outputs, or exits 2 and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_quietly(["metrics", "--input", fuzz_cube, "--n-bins", str(n_bins), "--k", "2:3",
+                                 "--out-prefix", os.path.join(tmp, "o")])
+        assert code in (0, 2)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+
+
 # Each flag draws half the time from its valid range: with uniform draws
 # almost every run stops at the first check and the later ones go unexercised.
 @settings(max_examples=150)
 @given(rows=st.integers(1, 8) | st.integers(-1, 8), cols=st.integers(1, 8) | st.integers(-1, 8),
        bands=st.integers(1, 8) | st.integers(-1, 8), informative=st.integers(1, 2) | st.integers(-1, 9),
-       classes=st.integers(-1, 5),
+       classes=st.integers(-1, 5) | st.integers(-1, 2**70),
        noise=st.floats(0, 1) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
        seed=st.integers(-2, 2) | st.integers(-2, 2**64))
 def test_fuzzed_synth_flags_exit_cleanly(rows, cols, bands, informative, classes, noise, seed):
