@@ -76,8 +76,7 @@ def _load_ranking(path, bands):
 
 
 def cmd_synth(args):
-    if args.rows < 1 or args.cols < 1 or args.bands < 1:
-        raise ConfigError(f"cube dimensions must be positive, got {args.rows}x{args.cols}x{args.bands}")
+    SynthSpec.check_shape(args.rows, args.cols, args.bands)  # before the planted-band draw
     if not 1 <= args.informative <= args.bands:
         raise ConfigError(f"informative count must be in [1, {args.bands}], got {args.informative}")
     if args.seed < 0:

@@ -17,8 +17,10 @@ Memory: each pipeline stage holds one float64 array the size of the cube,
 plus bounded scratch. ``load_cube`` checks every size against the file's
 length, then fills one float64 array from reads of ``CHUNK_ELEMENTS``
 values; ``scale_unit`` rescales that array in place; ``extract_pixels``
-returns a view of it. ``metrics.variance_rank`` shares the same chunk
-budget for its scratch.
+returns a view of it, and ``extract_patches`` a lazy ``PatchSet`` over it
+that gathers only the patches it is indexed with, so no patch-set-sized
+array exists unless a caller asks for one with ``np.asarray``.
+``metrics.variance_rank`` shares the same chunk budget for its scratch.
 """
 
 from __future__ import annotations
@@ -207,19 +209,55 @@ def extract_pixels(cube):
     return cube.values.reshape(cube.rows * cube.cols, cube.bands)
 
 
+class PatchSet:
+    """Read-only square patches [S, a, a, bands] of a cube, gathered on demand.
+
+    Patch ``s`` is ``values[i:i + a, j:j + a]`` with ``(i, j) = divmod(s, n_j) * stride``,
+    where ``n_j`` is the number of placements per row. The set holds only
+    ``values`` and reads it at index time, so it sees later writes to the cube.
+    Indexing with an int, a slice or an int array returns one fresh C-ordered
+    float64 array, built by a single fancy index; ``np.asarray(patches)``
+    gathers the whole set.
+    """
+
+    ndim = 4
+
+    def __init__(self, values, window, stride):
+        rows, cols, bands = values.shape
+        self._values = values
+        self._stride = stride
+        self._n_j = (cols - window) // stride + 1
+        self.shape = (((rows - window) // stride + 1) * self._n_j, window, window, bands)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        i, j = np.divmod(np.arange(len(self))[index], self._n_j)
+        span = np.arange(self.shape[1])
+        rows, cols = i[..., None] * self._stride + span, j[..., None] * self._stride + span
+        return self._values[rows[..., :, None], cols[..., None, :]]
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a patch set is gathered from its cube; it cannot be viewed without a copy")
+        return self[:]  # numpy casts it to a requested dtype
+
+
 def extract_patches(cube, window, stride):
-    """Square patches [S, a, a, bands] from a sliding window.
+    """Square patches [S, a, a, bands] from a sliding window, as a lazy ``PatchSet``.
 
     Offsets are (i * stride, j * stride) for every placement where the
     window fits, giving (floor((rows - a) / t) + 1) * (floor((cols - a) / t) + 1)
-    patches of shape a x a x bands.
+    patches of shape a x a x bands. Nothing is copied here; each index of
+    the set gathers its patches from ``cube.values``.
     """
     a, t = int(window), int(stride)
     if a < 1 or a > min(cube.rows, cube.cols):
         raise ConfigError(f"window {a} must be in [1, {min(cube.rows, cube.cols)}]")
     if t < 1:
         raise ConfigError(f"stride must be >= 1, got {t}")
-    views = np.lib.stride_tricks.sliding_window_view(cube.values, (a, a), axis=(0, 1))
-    sub = views[::t, ::t]  # [n_i, n_j, bands, a, a]
-    n_i, n_j = sub.shape[0], sub.shape[1]
-    return np.array(sub.transpose(0, 1, 3, 4, 2), order="C").reshape(n_i * n_j, a, a, cube.bands)
+    return PatchSet(cube.values, a, t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack
+from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack, chunk_samples
 
 
 def reweight(batch, weights):
@@ -73,6 +73,10 @@ class _BandSelector:
     def band_weights(self, batch):
         """Per-sample band weights in (0, 1): one sigmoid-gated vector per sample."""
         return self.bam.forward(batch)
+
+    def block_band_weights(self, samples, start, stop):
+        """``band_weights(samples[start:stop])``: one block of the averaging pass."""
+        return self.band_weights(samples[start:stop])
 
     def forward(self, batch):
         """Full pass; returns (per-sample weights [S, b], reconstruction like batch)."""
@@ -153,3 +157,22 @@ class BandSelectorConv(_BandSelector):
             Conv2DLayer(c4, bands, 1, activation="sigmoid", rng=rng),
         ])
         super().__init__(bands, bam, rec)
+
+    def block_band_weights(self, samples, start, stop):
+        """``band_weights(samples[start:stop])`` bit for bit, gathering one conv chunk at a time.
+
+        The attention conv and pool run on pieces of ``chunk_samples`` patches, the
+        pieces the conv layer would cut the whole block into, so every GEMM sees the
+        same rows; the dense tail then runs once on the block's pooled rows. Only one
+        piece of patches and its conv output are held, never the block's.
+        """
+        conv, pool, *tail = self.bam.layers
+        stop = min(stop, len(samples))
+        step = chunk_samples(*samples.shape[1:])
+        x = np.empty((stop - start, conv.out_channels))
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            x[lo - start : hi - start] = pool.forward(conv.forward(samples[lo:hi]))
+        for layer in tail:
+            x = layer.forward(x)
+        return x

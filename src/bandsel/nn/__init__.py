@@ -1,6 +1,6 @@
 """Minimal neural-network substrate: layers, activations, Adam."""
 
-from bandsel.nn.layers import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack, sigmoid
+from bandsel.nn.layers import Conv2DLayer, DenseLayer, GlobalAveragePool, LayerStack, chunk_samples, sigmoid
 from bandsel.nn.optim import AdamState, adam_step
 
 __all__ = [
@@ -10,5 +10,6 @@ __all__ = [
     "GlobalAveragePool",
     "LayerStack",
     "adam_step",
+    "chunk_samples",
     "sigmoid",
 ]

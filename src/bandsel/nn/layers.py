@@ -1,7 +1,8 @@
 """Dense, convolutional and pooling layers with hand-written gradients.
 
 Arrays are the tensor carrier throughout: C-ordered float64 ndarrays, which
-the layers take as given (``train`` casts the samples once).
+the layers take as given (``train`` casts a plain sample array once, and a
+patch set gathers each batch as such an array).
 Each layer with parameters names them in the class tuple ``param_fields``;
 every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
 layer belongs to a model, both are views into the model's flat ``params`` and
@@ -19,9 +20,10 @@ on the input shifted into one reused zero-bordered buffer (no padded copy),
 written into a reused tap buffer or straight into the ``grad_kernels`` view.
 The GEMMs get a padded copy's operands and the taps are summed in its order,
 so the bits are kept. The forward correlation takes its batch in chunks of
-whole samples of at most ``CONV_CHUNK_ELEMENTS`` input elements, which bounds
-both buffers; a training batch (32 patches of 7 x 7, up to 128 channels) is
-one chunk, so only larger passes, such as the averaging pass, split.
+whole samples of at most ``CONV_CHUNK_ELEMENTS`` input elements
+(``chunk_samples``), which bounds both buffers; a training batch (32 patches
+of 7 x 7, up to 128 channels) is one chunk, and the averaging pass hands the
+attention conv one chunk at a time.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ class DenseLayer:
         return d_pre @ self.weights.T
 
 
+def chunk_samples(h, w, cin):
+    """Whole h x w x cin samples per forward chunk: CONV_CHUNK_ELEMENTS input elements, at least one."""
+    return max(1, CONV_CHUNK_ELEMENTS // (h * w * cin))
+
+
 def _shifted_windows(x, k, buffer):
     """Yield ``(u, v, window)`` per tap of a ``k x k`` kernel, in row-major order.
 
@@ -120,7 +127,8 @@ def _shifted_windows(x, k, buffer):
         if u == v == p:
             yield u, v, x
             continue
-        r0, r1, c0, c1 = np.clip((p - u, h + p - u, p - v, w + p - v), 0, (h, h, w, w))
+        r0, r1 = min(max(p - u, 0), h), min(max(h + p - u, 0), h)
+        c0, c1 = min(max(p - v, 0), w), min(max(w + p - v, 0), w)
         buffer[:, r0:r1, c0:c1] = x[:, r0 + u - p : r1 + u - p, c0 + v - p : c1 + v - p]
         buffer[:, :r0] = buffer[:, r1:] = buffer[:, :, :c0] = buffer[:, :, c1:] = 0.0
         yield u, v, buffer
@@ -129,15 +137,15 @@ def _shifted_windows(x, k, buffer):
 def _correlate(x, kernels):
     """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout].
 
-    Per chunk of whole samples (CONV_CHUNK_ELEMENTS input elements, at least one sample),
-    adds each shifted window's GEMM into the chunk's row block of the output, through a
-    window and a tap buffer all chunks reuse, with the operands and order of the padded-copy
-    reference in ``tests/oracles.py``. BLAS's small-GEMM path rounds a transposed operand
-    differently, so the adjoint's transposed kernels keep the whole batch in one chunk.
+    Per chunk of ``chunk_samples`` whole samples, adds each shifted window's GEMM into the
+    chunk's row block of the output, through a window and a tap buffer all chunks reuse,
+    with the operands and order of the padded-copy reference in ``tests/oracles.py``.
+    BLAS's small-GEMM path rounds a transposed operand differently, so the adjoint's
+    transposed kernels keep the whole batch in one chunk.
     """
     batch, h, w, cin = x.shape
     out = np.zeros((batch, h * w, kernels.shape[3]))
-    n = min(batch, max(1, CONV_CHUNK_ELEMENTS // (h * w * cin)) if kernels.flags.c_contiguous else batch)
+    n = min(batch, chunk_samples(h, w, cin) if kernels.flags.c_contiguous else batch)
     buffer, tap = np.empty((n, h, w, cin)), np.empty((n * h * w, kernels.shape[3]))
     for start in range(0, batch, n):
         block = out[start : start + n].reshape(-1, kernels.shape[3])

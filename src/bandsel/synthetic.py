@@ -22,11 +22,17 @@ from bandsel.nn import sigmoid
 MIXTURE_SUPPORT = 2  # planted bands combined into each redundant band
 MIXTURE_GAIN = 0.5  # pre-sigmoid standard deviation of the combination
 FIELD_POLARITY = 10.0  # contrast of the planted fields (bimodal when large)
+MAX_VALUES = 2**27  # rows * cols * bands cap: 1 GiB of float64 (Salinas is 22.7 M values)
 
 
 @dataclass
 class SynthSpec:
-    """Recipe for one synthetic cube."""
+    """Recipe for one synthetic cube.
+
+    ``check_shape`` owns the cube's dimensions: each must be positive and
+    ``rows * cols * bands`` at most ``MAX_VALUES``, so a cube is refused
+    before anything the size of the cube is allocated.
+    """
 
     rows: int
     cols: int
@@ -37,6 +43,7 @@ class SynthSpec:
     classes: int = 4  # 0 disables ground-truth labels
 
     def __post_init__(self):
+        self.check_shape(self.rows, self.cols, self.bands)
         self.informative = tuple(int(i) for i in self.informative)
         if len(self.informative) < 1:
             raise ConfigError("at least one informative band is required")
@@ -45,14 +52,20 @@ class SynthSpec:
         for i in self.informative:
             if not 0 <= i < self.bands:
                 raise ConfigError(f"informative index {i} out of range for {self.bands} bands")
-        if self.rows < 1 or self.cols < 1 or self.bands < 1:
-            raise ConfigError(f"cube dimensions must be positive, got {self.rows}x{self.cols}x{self.bands}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         if self.classes < 0 or self.classes == 1 or self.classes > self.rows * self.cols:
             raise ConfigError(f"classes must be 0 or in [2, {self.rows * self.cols}], got {self.classes}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @staticmethod
+    def check_shape(rows, cols, bands):
+        """ConfigError unless every dimension is positive and the cube holds at most MAX_VALUES values."""
+        if rows < 1 or cols < 1 or bands < 1:
+            raise ConfigError(f"cube dimensions must be positive, got {rows}x{cols}x{bands}")
+        if int(rows) * int(cols) * int(bands) > MAX_VALUES:
+            raise ConfigError(f"a {rows}x{cols}x{bands} cube exceeds the cap of {MAX_VALUES} values")
 
 
 def _normalize(field):

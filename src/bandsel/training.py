@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from bandsel.cube import PatchSet
 from bandsel.errors import ConfigError, DimensionError, NumericError
 from bandsel.models import BandSelectorConv, BandSelectorFC
 from bandsel.nn import AdamState, adam_step
@@ -50,31 +51,34 @@ class TrainConfig:
 
 
 def _full_averaged_weights(model, samples):
-    """Mean band weight over every sample, evaluated in chunks of AVERAGING_CHUNK samples.
+    """Mean band weight over every sample, evaluated in blocks of AVERAGING_CHUNK samples.
 
-    The chunk stays a sample count, not a byte budget: the dense tail's GEMMs round
-    differently below ~100 rows, and a split sum regroups, so smaller chunks change
-    bits. The conv layers bound their own scratch memory (``CONV_CHUNK_ELEMENTS``).
+    The block stays a sample count, not a byte budget: the dense tail's GEMMs round
+    differently below ~100 rows, and a split sum regroups, so smaller blocks change
+    bits. The selector's ``block_band_weights`` bounds the memory of a block: the conv
+    selector gathers its patches and runs its attention conv one
+    ``CONV_CHUNK_ELEMENTS`` chunk at a time and its dense tail once on the pooled rows.
     """
     total = np.zeros(model.bands)
-    for start in range(0, samples.shape[0], AVERAGING_CHUNK):
-        part = samples[start : start + AVERAGING_CHUNK]
-        total += model.band_weights(part).sum(axis=0)
-    return total / samples.shape[0]
+    for start in range(0, len(samples), AVERAGING_CHUNK):
+        total += model.block_band_weights(samples, start, start + AVERAGING_CHUNK).sum(axis=0)
+    return total / len(samples)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(samples, cfg, *, k=None, model_kwargs=None):
     """Run the full selection procedure on spectra [S, b] or patches [S, a, a, b].
 
-    The sample array's shape picks the selector: spectra train
-    BandSelectorFC, patches BandSelectorConv. Returns (model,
-    SelectionResult). ``k`` defaults to the band count so ``top_k`` equals
-    the full ranking unless a subset size is requested. Raises
+    The samples' shape picks the selector: spectra train BandSelectorFC,
+    patches BandSelectorConv. An array is cast to float64 once; a
+    ``PatchSet`` is not cast, and each batch is gathered from its cube.
+    Returns (model, SelectionResult). ``k`` defaults to the band count so
+    ``top_k`` equals the full ranking unless a subset size is requested. Raises
     NumericError if a loss or band weight it would report is not finite;
     those checks, not numpy's overflow warnings, report a diverging run.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    if not isinstance(samples, PatchSet):
+        samples = np.asarray(samples, dtype=np.float64)
     selector = {2: BandSelectorFC, 4: BandSelectorConv}.get(samples.ndim)
     if selector is None:
         raise DimensionError(f"samples must be spectra [S, b] or patches [S, a, a, b], "

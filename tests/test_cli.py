@@ -121,6 +121,20 @@ class TestSynth:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rows, cols, bands", [(4, 4, 10**30), (100000, 100000, 8)],
+                             ids=["1e30-bands", "8e10-values"])
+    def test_oversized_cube_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch, rows, cols, bands):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cube was generated")
+
+        monkeypatch.setattr(cli, "synth_generate", refuse)
+        code = main(["synth", "--rows", str(rows), "--cols", str(cols), "--bands", str(bands),
+                     "--informative", "3", "--out", str(tmp_path / "x.hsic")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize("argv", [
     ["train", "--lr=nan"], ["train", "--lr=inf"], ["train", "--l1=nan"], ["train", "--l1=inf"],
@@ -728,11 +742,18 @@ def test_fuzzed_n_bins_exits_cleanly(fuzz_cube, n_bins):
             assert_finite_outputs(tmp)
 
 
-# Each flag draws half the time from its valid range: with uniform draws
-# almost every run stops at the first check and the later ones go unexercised.
+# Each flag draws half the time from its valid range (a third of the time for
+# the dimensions): with uniform draws almost every run stops at the first check
+# and the later ones go unexercised. A dimension past 2**27 alone exceeds the
+# synth cube cap, so no draw asks for a cube that would really be allocated.
+HUGE_DIMENSION = st.integers(2**27 + 1, 2**100)
+
+
 @settings(max_examples=150)
-@given(rows=st.integers(1, 8) | st.integers(-1, 8), cols=st.integers(1, 8) | st.integers(-1, 8),
-       bands=st.integers(1, 8) | st.integers(-1, 8), informative=st.integers(1, 2) | st.integers(-1, 9),
+@given(rows=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       cols=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       bands=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       informative=st.integers(1, 2) | st.integers(-1, 9),
        classes=st.integers(-1, 5) | st.integers(-1, 2**70),
        noise=st.floats(0, 1) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
        seed=st.integers(-2, 2) | st.integers(-2, 2**64))

@@ -277,11 +277,31 @@ class TestExtractPatches:
         for patch, (i, j) in zip(out, offsets):
             np.testing.assert_array_equal(patch, cube.values[i : i + a, j : j + a])
 
-    def test_holds_one_copy_of_the_patch_set(self, traced_peak):
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 20), bands=st.integers(1, 3),
+           a=st.integers(1, 8), t=st.integers(1, 8), data=st.data())
+    def test_any_index_matches_the_gathered_set_and_the_oracle(self, rows, cols, bands, a, t, data):
+        cube = HsiCube(np.arange(rows * cols * bands, dtype=np.float64).reshape(rows, cols, bands))
+        offsets = patch_offsets_oracle(rows, cols, a, t)
+        if not offsets:
+            return
+        patches = extract_patches(cube, a, t)
+        n = len(offsets)
+        index = data.draw(st.integers(-n, n - 1) | st.slices(n)
+                          | st.lists(st.integers(-n, n - 1), max_size=10).map(lambda v: np.array(v, dtype=np.intp)))
+        got = patches[index]
+        oracle = np.stack([cube.values[i : i + a, j : j + a] for i, j in offsets])
+        np.testing.assert_array_equal(got, np.asarray(patches)[index])
+        np.testing.assert_array_equal(got, oracle[index])
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, cube.values)
+
+    def test_builds_no_copy_of_the_patch_set(self, traced_peak):
         cube = random_cube(np.random.default_rng(17), 48, 48, 100)
-        out, peak = traced_peak(extract_patches, cube, 7, 2)
-        assert out.flags.c_contiguous and out.flags.writeable
-        assert peak <= 1.05 * out.nbytes + 2**20
+        patches, peak = traced_peak(extract_patches, cube, 7, 2)
+        assert peak < 2**20
+        batch = patches[np.random.default_rng(18).permutation(len(patches))[:32]]
+        assert batch.shape == (32, 7, 7, 100)
+        assert batch.flags.c_contiguous and batch.flags.writeable
 
     def test_oversized_window_rejected(self):
         cube = random_cube(np.random.default_rng(16), 4, 4, 2)

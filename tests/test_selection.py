@@ -21,8 +21,8 @@ class _SamplesAsWeights:
     def __init__(self, bands):
         self.bands = bands
 
-    def band_weights(self, batch):
-        return batch
+    def block_band_weights(self, samples, start, stop):
+        return samples[start:stop]
 
 
 class TestAveraging:

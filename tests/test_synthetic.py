@@ -95,3 +95,9 @@ class TestSpecValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             SynthSpec(rows=4, cols=4, bands=5, informative=(0,), seed=-1)
+
+    def test_cube_size_is_capped(self):
+        # Only the spec is built: nothing of the cube's size is allocated.
+        assert SynthSpec(rows=2**13, cols=2**7, bands=2**7, informative=(0,)).bands == 2**7
+        with pytest.raises(ConfigError, match="cap"):
+            SynthSpec(rows=2**13, cols=2**7, bands=2**7 + 1, informative=(0,))

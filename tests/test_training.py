@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from bandsel.cube import extract_patches, extract_pixels, scale_unit
+from bandsel.cube import HsiCube, extract_patches, extract_pixels, scale_unit
 from bandsel.errors import ConfigError, DimensionError, NumericError
 from bandsel.models import BandSelectorConv, BandSelectorFC
 from bandsel.synthetic import SynthSpec, synth_generate
-from bandsel.training import TrainConfig, _full_averaged_weights, train
+from bandsel.training import AVERAGING_CHUNK, TrainConfig, _full_averaged_weights, train
 
 
 def small_samples(seed=0, n=40, bands=12):
@@ -156,3 +156,26 @@ def test_averaging_pass_scratch_is_bounded(traced_peak):
     model = BandSelectorConv(100, rng=np.random.default_rng(0))
     _, peak = traced_peak(_full_averaged_weights, model, patches)
     assert peak <= 18 * 2**20
+
+
+@pytest.mark.parametrize("rows, cols, bands, a", [(36, 36, 8, 3), (12, 12, 200, 7)],
+                         ids=["1156-patches", "200-bands"])
+def test_averaging_pass_matches_the_block_wise_reference(rows, cols, bands, a):
+    # 1,156 patches make two averaging blocks, the second ragged; 36 patches of
+    # 7 x 7 x 200 make two attention-conv chunks of 26 and 10 patches.
+    cube = HsiCube(np.random.default_rng(2).random((rows, cols, bands)))
+    patches = extract_patches(cube, a, 1)
+    model = BandSelectorConv(bands, rng=np.random.default_rng(3))
+    gathered = np.asarray(patches)
+    total = np.zeros(bands)
+    for start in range(0, len(gathered), AVERAGING_CHUNK):
+        total += model.band_weights(gathered[start : start + AVERAGING_CHUNK]).sum(axis=0)
+    np.testing.assert_array_equal(_full_averaged_weights(model, patches), total / len(gathered))
+
+
+def test_conv_training_gathers_batches_from_the_cube(traced_peak):
+    # 441 patches of 7 x 7 x 100, the conv bench's train stage. A copy of the
+    # patch set alone is 16.5 MiB; with it the stage peaked at about 50 MiB.
+    cube = HsiCube(np.random.default_rng(4).random((48, 48, 100)))
+    _, peak = traced_peak(lambda: train(extract_patches(cube, 7, 2), TrainConfig(max_epochs=1)))
+    assert peak <= 36 * 2**20

@@ -1,11 +1,13 @@
 """SHA-256 digests of the reference CLI pipeline's output files.
 
-Runs nine ``bandsel`` commands in-process inside a temporary directory
-(three synthetic cubes, three trainings, two metrics runs and one eval
-sweep) and prints ``sha256  name`` for each of the 21 non-cube files they
-write. The digests depend on the BLAS build, so they are only comparable
-between runs on the same machine; BLAS is limited to one thread before
-``bandsel`` (and numpy) is imported.
+Runs eleven ``bandsel`` commands in-process inside a temporary directory
+(four synthetic cubes, four trainings, two metrics runs and one eval
+sweep) and prints ``sha256  name`` for each of the 25 non-cube files they
+write. The second conv training (1,156 patches of 3 x 3 x 8) splits its
+averaging pass into two blocks, the second ragged. The digests depend on
+the BLAS build, so they are only comparable between runs on the same
+machine; BLAS is limited to one thread before ``bandsel`` (and numpy) is
+imported.
 
 Usage:
     python3 tools/pipeline_digests.py                  # print the digests
@@ -31,9 +33,11 @@ COMMANDS = [
     "synth --rows 64 --cols 64 --bands 100 --informative 5 --seed 3 --out fc.hsic",
     "synth --rows 48 --cols 48 --bands 100 --informative 5 --seed 4 --out conv.hsic",
     "synth --rows 13 --cols 5 --bands 30 --informative 3 --seed 5 --out rag.hsic",
+    "synth --rows 36 --cols 36 --bands 8 --informative 3 --seed 6 --out pat.hsic",
     "train --input fc.hsic --maxiter 5 --seed 1 --out-prefix fc",
     "train --input conv.hsic --variant conv --a 7 --t 2 --maxiter 1 --seed 2 --out-prefix conv",
     "train --input rag.hsic --maxiter 7 --seed 3 --out-prefix rag",
+    "train --input pat.hsic --variant conv --a 3 --t 1 --maxiter 1 --seed 4 --out-prefix pat",
     "metrics --input fc.hsic --k 2:50:2 --out-prefix mv",
     "metrics --input fc.hsic --ranking fc.json --k 2:50:2 --out-prefix mr",
     "eval --input fc.hsic --selection net=fc.json --variance-baseline --include-random"
