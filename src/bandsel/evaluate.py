@@ -18,6 +18,9 @@ from bandsel.errors import ConfigError, DataError, DimensionError
 # Distances held per k-NN chunk: 2 MB of float64, which fits a per-core L2
 # cache while the chunk's rows are selected and compared.
 KNN_CHUNK_ELEMENTS = 250_000
+# Result rows one sweep may build (runs x selectors x k values), over 1,000
+# times the paper's protocol of 20 runs x 14 subset sizes x 3 selectors.
+MAX_SWEEP_ROWS = 2**20
 
 
 @dataclass
@@ -218,7 +221,8 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
     draws a fresh uniform-random band subset per run and k.
     Returns (rows, aggregated): rows are (selector, k, run_seed, oa, aa,
     kappa); aggregated are (selector, k, mean, std) triples for each index
-    over the runs (population std, zero for a single run).
+    over the runs (population std, zero for a single run). A sweep of more
+    than ``MAX_SWEEP_ROWS`` rows is refused before the first split.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -229,6 +233,9 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
         if not 1 <= k <= cube.bands:
             raise ConfigError(f"subset size {k} out of range for {cube.bands}-band cube")
     named = {name: [int(b) for b in ranking] for name, ranking in selectors.items()}
+    if runs * (len(named) + include_random) * len(k_values) > MAX_SWEEP_ROWS:
+        raise ConfigError(f"{runs} runs x {len(named) + include_random} selectors x {len(k_values)} subset "
+                          f"sizes is over the cap of {MAX_SWEEP_ROWS} result rows")
     for name, ranking in named.items():
         if len(ranking) < max(k_values):
             raise ConfigError(f"selector {name!r} ranks {len(ranking)} bands; need {max(k_values)}")

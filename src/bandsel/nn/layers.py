@@ -10,20 +10,19 @@ layer belongs to a model, both are views into the model's flat ``params`` and
 layer caches its input and its output, and nothing else: the output alone
 fixes the derivative of every activation (relu passes where the output is
 positive, sigmoid scales by ``out * (1 - out)``). ``backward`` consumes the
-cache, writes the parameter gradients in place into the ``grad_*`` views and
-returns the gradient with respect to the layer input.
+cache and releases it, writes the parameter gradients in place into the
+``grad_*`` views and returns the gradient with respect to the layer input.
 
 Spatial convolutions are stride 1 with zero-padded "same" geometry, so height
 and width pass through unchanged; the adjoint in the input is the same
-correlation with flipped, channel-swapped kernels. Each kernel tap is one GEMM
-on the input shifted into one reused zero-bordered buffer (no padded copy),
-written into a reused tap buffer or straight into the ``grad_kernels`` view.
-The GEMMs get a padded copy's operands and the taps are summed in its order,
-so the bits are kept. The forward correlation takes its batch in chunks of
-whole samples of at most ``CONV_CHUNK_ELEMENTS`` input elements
-(``chunk_samples``), which bounds both buffers; a training batch (32 patches
-of 7 x 7, up to 128 channels) is one chunk, and the averaging pass hands the
-attention conv one chunk at a time.
+correlation with flipped, channel-swapped kernels. No padded copy is made: a
+correlation's tap GEMMs read the input in place (``_add_taps``), the kernel
+gradient's read it shifted into one reused zero-bordered buffer, and both keep
+a padded copy's bits. A correlation takes its batch in chunks of whole samples
+of at most ``CONV_CHUNK_ELEMENTS`` input elements (``chunk_samples``), which
+bounds its tap buffer; a training batch (32 patches of 7 x 7, up to 128
+channels) is one chunk, and the averaging pass hands the attention conv one
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -101,10 +100,11 @@ class DenseLayer:
 
     def backward(self, grad):
         if self._x is None:
-            raise StateError("backward called before forward on dense layer")
+            raise StateError("backward called without a preceding forward on dense layer")
         d_pre = _activation_backward(self.activation, grad, self._out)
         np.matmul(self._x.T, d_pre, out=self.grad_weights)
         np.sum(d_pre, axis=0, out=self.grad_bias)
+        self._x = self._out = None
         return d_pre @ self.weights.T
 
 
@@ -137,21 +137,31 @@ def _shifted_windows(x, k, buffer):
 def _correlate(x, kernels):
     """Stride-1 'same' cross-correlation: x [B,H,W,Cin], kernels [k,k,Cin,Cout] -> [B,H,W,Cout].
 
-    Per chunk of ``chunk_samples`` whole samples, adds each shifted window's GEMM into the
-    chunk's row block of the output, through a window and a tap buffer all chunks reuse,
-    with the operands and order of the padded-copy reference in ``tests/oracles.py``.
-    BLAS's small-GEMM path rounds a transposed operand differently, so the adjoint's
-    transposed kernels keep the whole batch in one chunk.
+    Per chunk of ``chunk_samples`` samples, each tap's GEMM reads the C-ordered chunk in place into a
+    reused tap buffer, and its valid region is added, shifted, into the output. Each GEMM has the
+    shape and operand layout of the padded-copy reference's in ``tests/oracles.py`` and the taps keep
+    its row-major order, so the bits are kept: a skipped out-of-image product was ``0 * w = +0`` for
+    a finite kernel, which leaves a sum begun at ``+0`` as it was. BLAS's small-GEMM path rounds a
+    transposed operand differently, so the adjoint's transposed kernels keep the batch in one chunk.
     """
     batch, h, w, cin = x.shape
-    out = np.zeros((batch, h * w, kernels.shape[3]))
+    out = np.zeros((batch, h, w, kernels.shape[3]))
     n = min(batch, chunk_samples(h, w, cin) if kernels.flags.c_contiguous else batch)
-    buffer, tap = np.empty((n, h, w, cin)), np.empty((n * h * w, kernels.shape[3]))
+    tap = np.empty((n * h * w, kernels.shape[3]))
     for start in range(0, batch, n):
-        block = out[start : start + n].reshape(-1, kernels.shape[3])
-        for u, v, window in _shifted_windows(x[start : start + n], kernels.shape[0], buffer[: batch - start]):
-            block += np.dot(window.reshape(len(block), cin), kernels[u, v], out=tap[: len(block)])
-    return out.reshape(batch, h, w, -1)
+        _add_taps(np.ascontiguousarray(x[start : start + n]), kernels, out[start : start + n], tap)
+    return out
+
+
+def _add_taps(x, kernels, out, tap):
+    """``_correlate``'s step on one C-ordered chunk ``x``: add its taps into ``out`` through ``tap``."""
+    m, h, w, cin = x.shape
+    p, tap = kernels.shape[0] // 2, tap[: m * h * w]
+    for u, v in np.ndindex(kernels.shape[:2]):
+        r0, r1, c0, c1 = max(p - u, 0), min(h + p - u, h), max(p - v, 0), min(w + p - v, w)
+        if r0 < r1 and c0 < c1:
+            np.dot(x.reshape(-1, cin), kernels[u, v], out=tap)
+            out[:, r0:r1, c0:c1] += tap.reshape(m, h, w, -1)[:, r0 + u - p : r1 + u - p, c0 + v - p : c1 + v - p]
 
 
 def _kernel_grad(x, grad, out):
@@ -210,10 +220,11 @@ class Conv2DLayer:
 
     def backward(self, grad):
         if self._x is None:
-            raise StateError("backward called before forward on conv layer")
+            raise StateError("backward called without a preceding forward on conv layer")
         d_pre = _activation_backward(self.activation, grad, self._out)
         np.sum(d_pre, axis=(0, 1, 2), out=self.grad_bias)
         _kernel_grad(self._x, d_pre, self.grad_kernels)
+        self._x = self._out = None
         return _correlate(d_pre, self.kernels[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
@@ -233,9 +244,9 @@ class GlobalAveragePool:
 
     def backward(self, grad):
         if self._shape is None:
-            raise StateError("backward called before forward on global pool")
-        scale = self._shape[1] * self._shape[2]
-        return np.broadcast_to((grad / scale)[:, None, None, :], self._shape).copy()
+            raise StateError("backward called without a preceding forward on global pool")
+        shape, self._shape = self._shape, None
+        return np.broadcast_to((grad / (shape[1] * shape[2]))[:, None, None, :], shape).copy()
 
 
 class LayerStack:

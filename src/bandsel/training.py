@@ -20,6 +20,9 @@ from bandsel.nn import AdamState, adam_step
 from bandsel.selection import select_top_k
 
 AVERAGING_CHUNK = 1024
+# Band weights one run may record, (epochs + 1) x bands: over 800 times the
+# reference setting of 100 epochs on a 200-band scene.
+MAX_HISTORY_VALUES = 2**24
 
 
 @dataclass
@@ -73,9 +76,12 @@ def train(samples, cfg, *, k=None, model_kwargs=None):
     patches BandSelectorConv. An array is cast to float64 once; a
     ``PatchSet`` is not cast, and each batch is gathered from its cube.
     Returns (model, SelectionResult). ``k`` defaults to the band count so
-    ``top_k`` equals the full ranking unless a subset size is requested. Raises
-    NumericError if a loss or band weight it would report is not finite;
-    those checks, not numpy's overflow warnings, report a diverging run.
+    ``top_k`` equals the full ranking unless a subset size is requested. A
+    run whose weight history, one row per epoch plus the final average, would
+    hold more than ``MAX_HISTORY_VALUES`` values is refused before the model
+    is built (``TrainConfig`` has no band count). Raises NumericError if a
+    loss or band weight it would report is not finite; those checks, not
+    numpy's overflow warnings, report a diverging run.
     """
     if not isinstance(samples, PatchSet):
         samples = np.asarray(samples, dtype=np.float64)
@@ -90,6 +96,9 @@ def train(samples, cfg, *, k=None, model_kwargs=None):
         k = bands
     if not 1 <= k <= bands:
         raise ConfigError(f"k must be in [1, {bands}], got {k}")
+    if (cfg.max_epochs + 1) * bands > MAX_HISTORY_VALUES:
+        raise ConfigError(f"{cfg.max_epochs} epochs of {bands} band weights, plus their average, are over "
+                          f"the cap of {MAX_HISTORY_VALUES} recorded values")
     batch_size = cfg.batch_size if cfg.batch_size is not None else selector.default_batch
 
     rng = np.random.default_rng(cfg.seed)

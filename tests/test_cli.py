@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bandsel import cli
+from bandsel import cli, evaluate, training
 from bandsel.cli import main, parse_k_range
 from bandsel.cube import MAGIC, HsiCube, load_cube, save_cube
 from bandsel.selection import SelectionResult
@@ -278,6 +278,20 @@ class TestTrain:
         assert sha256(tmp_path / "r1.json") == sha256(tmp_path / "r2.json")
         assert sha256(tmp_path / "r1_weights.csv") == sha256(tmp_path / "r2_weights.csv")
 
+    @pytest.mark.parametrize("maxiter", [2**21, 10**30], ids=["2^21", "1e30"])
+    def test_huge_epoch_count_exits_2_before_training(self, tmp_path, capsys, monkeypatch, fuzz_cube, maxiter):
+        # 8 bands: (2**21 + 1) x 8 recorded weights are over the 2**24 cap.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(training, "BandSelectorFC", refuse)
+        capsys.readouterr()
+        code = main(["train", "--input", fuzz_cube, "--maxiter", str(maxiter), "--out-prefix", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_missing_input_is_a_data_error(self, tmp_path, capsys):
         code = main(["train", "--input", str(tmp_path / "absent.hsic"),
                      "--out-prefix", str(tmp_path / "x")])
@@ -415,6 +429,21 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("e_*"))
+
+    @pytest.mark.parametrize("runs", [2**19 + 1, 10**30], ids=["2^19+1", "1e30"])
+    def test_huge_run_count_exits_2_before_any_split(self, tmp_path, capsys, monkeypatch, fuzz_cube, runs):
+        # Two selectors and one subset size: 2 x (2**19 + 1) rows are over the 2**20 cap.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(evaluate, "split", refuse)
+        capsys.readouterr()
+        code = main(["eval", "--input", fuzz_cube, "--variance-baseline", "--include-random", "--k", "2",
+                     "--runs", str(runs), "--out-prefix", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_largest_label_id_does_not_size_the_evaluation(self, tmp_path):
         values = np.random.default_rng(0).random((6, 5, 4))

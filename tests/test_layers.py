@@ -163,7 +163,7 @@ class TestConvForward:
 
 def chunk_sizes(x, kernels, budget=layers.CONV_CHUNK_ELEMENTS):
     """``_correlate(x, kernels)`` under a chunk budget, and the sample count of each chunk."""
-    with mock.patch.object(layers, "_shifted_windows", wraps=layers._shifted_windows) as spy, \
+    with mock.patch.object(layers, "_add_taps", wraps=layers._add_taps) as spy, \
             mock.patch.object(layers, "CONV_CHUNK_ELEMENTS", budget):
         out = layers._correlate(x, kernels)
     return out, [call.args[0].shape[0] for call in spy.call_args_list]

@@ -1,10 +1,13 @@
 """Contracts of the attention branch, re-weighting junction, reconstruction branch, and loss."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from bandsel.errors import DimensionError
+from bandsel.errors import DimensionError, StateError
 from bandsel.models import BandSelectorConv, BandSelectorFC, reconstruction_loss, reweight
+from bandsel.nn import layers
 
 
 def zero_out(stack):
@@ -160,11 +163,14 @@ def test_flat_buffer_slices_follow_layer_order():
     assert np.shares_memory(layer.grad_kernels, model.grads)
 
 
-@pytest.mark.parametrize("make", [
+SMALL_SELECTORS = pytest.mark.parametrize("make", [
     lambda rng: (BandSelectorFC(6, rng=rng), rng.random((5, 6))),
     lambda rng: (BandSelectorConv(4, bam_conv_channels=3, bam_hidden=5, rec_channels=(4, 3, 3, 4), rng=rng),
                  rng.random((3, 5, 5, 4))),
 ], ids=["fc", "conv"])
+
+
+@SMALL_SELECTORS
 def test_backprop_writes_gradients_into_the_flat_buffer(make):
     # Adam reads only model.grads: a layer that rebound a grad_* attribute
     # would leave its slice of the buffer at zero.
@@ -191,3 +197,33 @@ def test_each_selector_rejects_the_other_variants_batch():
     for shape in ((2, 5), (2, 3, 5), (2, 3, 3, 3, 5)):
         with pytest.raises(DimensionError, match="conv layer"):
             conv.backprop(np.zeros(shape), 1e-2)
+
+
+@SMALL_SELECTORS
+def test_backprop_releases_every_forward_cache(make):
+    # Between training steps a model holds no activation; a backward needs a
+    # fresh forward.
+    model, batch = make(np.random.default_rng(0))
+    model.backprop(batch, 1e-2)
+    for layer in model.bam.layers + model.rec.layers:
+        assert all(getattr(layer, name, None) is None for name in ("_x", "_out", "_shape"))
+        with pytest.raises(StateError):
+            layer.backward(np.zeros(1))
+
+
+@pytest.mark.parametrize("a", [7, 15])
+def test_chunked_layers_keep_the_whole_batch_bits(a):
+    # 32 patches of 200 bands: the convs reading the bands run in chunks of
+    # 26 + 6 patches at a = 7 and of 5 at a = 15, where the 128- and 64-channel
+    # ones, the 1 x 1 head too, run in chunks of 9 and 18. Training must not
+    # depend on that split.
+    batch = np.random.default_rng(a).random((32, a, a, 200))
+    results = []
+    for budget in (layers.CONV_CHUNK_ELEMENTS, batch.size):
+        model = BandSelectorConv(200, rng=np.random.default_rng(1))
+        with mock.patch.object(layers, "CONV_CHUNK_ELEMENTS", budget):
+            results.append((model.backprop(batch, 1e-2), model.grads.copy(), model.band_weights(batch)))
+    (loss, grads, weights), (whole_loss, whole_grads, whole_weights) = results
+    assert loss == whole_loss
+    np.testing.assert_array_equal(grads, whole_grads)
+    np.testing.assert_array_equal(weights, whole_weights)

@@ -1,10 +1,12 @@
 """SHA-256 digests of the reference CLI pipeline's output files.
 
-Runs eleven ``bandsel`` commands in-process inside a temporary directory
-(four synthetic cubes, four trainings, two metrics runs and one eval
-sweep) and prints ``sha256  name`` for each of the 25 non-cube files they
+Runs twelve ``bandsel`` commands in-process inside a temporary directory
+(four synthetic cubes, five trainings, two metrics runs and one eval
+sweep) and prints ``sha256  name`` for each of the 28 non-cube files they
 write. The second conv training (1,156 patches of 3 x 3 x 8) splits its
-averaging pass into two blocks, the second ragged. The digests depend on
+averaging pass into two blocks, the second ragged. The third (batches of
+64 patches of 7 x 7 x 100) splits each training batch's forward correlations
+into chunks of 53 and 11 patches. The digests depend on
 the BLAS build, so they are only comparable between runs on the same
 machine; BLAS is limited to one thread before ``bandsel`` (and numpy) is
 imported.
@@ -42,6 +44,7 @@ COMMANDS = [
     "metrics --input fc.hsic --ranking fc.json --k 2:50:2 --out-prefix mr",
     "eval --input fc.hsic --selection net=fc.json --variance-baseline --include-random"
     " --k 10:40:10 --runs 2 --out-prefix ev",
+    "train --input conv.hsic --variant conv --a 7 --t 2 --batch-size 64 --maxiter 1 --seed 5 --out-prefix cb",
 ]
 
 
