@@ -243,10 +243,26 @@ def build_parser():
     return parser
 
 
+def _check_tokens(args):
+    """ConfigError for a parsed value that is not one converted token.
+
+    Python 3.11's argparse parses ``--OPTION=--`` to ``[]``, unconverted and
+    unchecked: the whole value of a store option, or one ``--selection`` item.
+    """
+    for dest, value in vars(args).items():
+        if dest == "selection":
+            bad = any(not isinstance(item, str) for item in value or [])
+        else:
+            bad = isinstance(value, list)
+        if bad:
+            raise ConfigError(f"--{dest.replace('_', '-')} needs one value")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tokens(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -225,7 +225,9 @@ class PatchSet:
     def __init__(self, values, window, stride):
         rows, cols, bands = values.shape
         self._values = values
-        self._stride = stride
+        # Any stride of at least the cube's extent places one window per axis, so the
+        # clamp changes no patch and keeps every index product inside int64.
+        self._stride = min(stride, max(rows, cols))
         self._n_j = (cols - window) // stride + 1
         self.shape = (((rows - window) // stride + 1) * self._n_j, window, window, bands)
 

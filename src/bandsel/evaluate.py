@@ -252,13 +252,11 @@ def sweep(cube, selectors, k_values, runs, *, train_fraction=0.05, k_neighbors=5
                 subset = random_rng.choice(cube.bands, size=k, replace=False)
                 rep = _score(cube, train_idx, test_idx, subset, k_neighbors)
                 rows.append(("random", k, seed, rep.oa, rep.aa, rep.kappa))
-    aggregated = []
     names = list(named) + (["random"] if include_random else [])
-    for name in names:
-        for k in k_values:
-            vals = np.array([[r[3], r[4], r[5]] for r in rows if r[0] == name and r[1] == k])
-            mean = vals.mean(axis=0)
-            std = vals.std(axis=0)
-            aggregated.append((name, k, float(mean[0]), float(std[0]),
-                               float(mean[1]), float(std[1]), float(mean[2]), float(std[2])))
+    # Rows were appended run by run, then by k, then by selector in ``names`` order,
+    # so one reshape puts each (k, selector) pair's runs along axis 0.
+    scores = np.array([row[3:] for row in rows]).reshape(runs, len(k_values), len(names), 3)
+    stats = np.stack((scores.mean(axis=0), scores.std(axis=0)), axis=-1).reshape(len(k_values), len(names), 6)
+    aggregated = [(name, k, *map(float, stats[i, j])) for j, name in enumerate(names)
+                  for i, k in enumerate(k_values)]
     return rows, aggregated

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from bandsel import cli, evaluate, training
@@ -134,38 +135,6 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv", [
-    ["train", "--lr=nan"], ["train", "--lr=inf"], ["train", "--l1=nan"], ["train", "--l1=inf"],
-    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=nan"],
-    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=inf"],
-], ids=["lr-nan", "lr-inf", "l1-nan", "l1-inf", "noise-sigma-nan", "noise-sigma-inf"])
-def test_non_finite_float_flag_is_a_config_error(tmp_path, capsys, argv):
-    cube = make_cube(tmp_path, rows=6, cols=5, bands=8)
-    capsys.readouterr()
-    out = str(tmp_path / "out")
-    target = ["--out", out + ".hsic"] if argv[0] == "synth" else ["--input", str(cube), "--out-prefix", out]
-    assert main([*argv, *target]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not list(tmp_path.glob("out*"))
-
-
-@pytest.mark.parametrize("command", ["synth", "train", "eval"])
-def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
-    cube = make_cube(tmp_path)
-    capsys.readouterr()
-    out = str(tmp_path / "out")
-    argv = {
-        "synth": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
-                  "--out", out + ".hsic"],
-        "train": ["train", "--input", str(cube), "--maxiter", "1", "--out-prefix", out],
-        "eval": ["eval", "--input", str(cube), "--include-random", "--k", "2", "--runs", "1",
-                 "--out-prefix", out],
-    }[command]
-    assert main([*argv, "--seed=-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: seed")
-    assert not list(tmp_path.glob("out*"))
 
 
 def test_diverging_training_prints_only_the_error_line(tmp_path):
@@ -589,8 +558,8 @@ def run_quietly(argv):
 
 
 def assert_clean_failure(code, err, out_dir):
-    """A non-zero exit prints ``error:`` first, no traceback, and leaves no output file behind."""
-    assert err.startswith("error:") and "Traceback" not in err
+    """A non-zero exit prints one ``error:`` line, no traceback, and leaves no output file behind."""
+    assert err.startswith("error:") and err.count("\n") == 1, err
     assert not os.listdir(out_dir), (code, err)
 
 
@@ -693,130 +662,146 @@ def test_mutated_selection_exits_cleanly(fuzz_cube, raw):
                     os.remove(os.path.join(out_dir, name))
 
 
-@settings(max_examples=150)
-@given(text=st.text(alphabet="0123456789:-+ ", max_size=12), command=st.sampled_from(["metrics", "eval"]))
-def test_fuzzed_k_range_exits_cleanly(fuzz_cube, text, command):
-    """Any ``--k`` string exits 0 with every k in range, or exits 2 and writes nothing."""
-    lowest, argv, table, column = {
-        "metrics": (2, ["metrics"], "_msd.csv", 0),
-        "eval": (1, ["eval", "--include-random", "--runs", "1"], "_runs.csv", 1),
-    }[command]
-    with tempfile.TemporaryDirectory() as tmp:
-        prefix = os.path.join(tmp, "o")
-        code, err = run_quietly([*argv, f"--k={text}", "--input", fuzz_cube, "--out-prefix", prefix])
-        assert code in (0, 2)
-        if code:
-            assert_clean_failure(code, err, tmp)
+@pytest.fixture(scope="module")
+def fuzz_ranking(tmp_path_factory):
+    """A valid selection result for the fuzz cube."""
+    path = tmp_path_factory.mktemp("ranking") / "sel.json"
+    path.write_text(json.dumps(SELECTION))
+    return str(path)
+
+
+def pick(*strategies):
+    """One of ``strategies``, each equally likely however many branches it has itself."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+# Half of each number's draws are valid. No integer is mid-range: 10**5 epochs
+# or runs would do real work, while every integer flag at 2**40 and at 2**70
+# exits 2 at its cap or finishes at once.
+INTEGERS = pick(st.integers(1, 6), st.integers(-2, 8) | st.integers(2**40, 2**70))
+FLOATS = pick(st.floats(0.01, 0.5), st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+K_RANGES = pick(st.builds("{}:{}:{}".format, st.integers(1, 4), st.integers(4, 8), st.integers(1, 3)),
+                st.text(alphabet="0123456789:-+ ", max_size=12))
+# Distinct names, or any names: a repeat, ``random`` or ``variance`` may collide.
+SELECTOR_NAMES = pick(st.lists(st.sampled_from(["net", "alt"]), min_size=1, max_size=2, unique=True),
+                      st.lists(st.sampled_from(["net", "alt", "random", "variance"]), min_size=1, max_size=3))
+
+
+def subcommand_options():
+    """{command: [option actions]} as ``cli.build_parser()`` declares them."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for command, parser in sub.choices.items()}
+
+
+def option_values(action, paths):
+    """Strategy for one option's value, read off its action; None if no rule draws it.
+
+    ``True`` stands for a bare ``store_true`` flag and a list for a repeated option.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        return st.just(True)
+    if action.dest in ("out", "out_prefix", "input", "ranking"):
+        return st.just(paths[action.dest])
+    if action.dest == "selection":
+        return SELECTOR_NAMES.map(lambda names: [f"{name}={paths['ranking']}" for name in names])
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.dest == "k" and action.type is None:
+        return K_RANGES
+    return {int: INTEGERS, float: FLOATS}.get(action.type)
+
+
+def flag_draws(paths):
+    """(command, {option: value}) for any subcommand.
+
+    An optional option whose default is None or False may be left out, so the
+    command falls back on its own value (batch size by variant, ``k`` = bands).
+    Any other default is one more value of the drawn domain, or would run real
+    work (``--maxiter`` 100), so that option is always drawn. In one example of
+    four, one option that takes a value, other than an output path, gets the
+    raw token ``--``.
+    """
+    def command_draws(command):
+        fields = {}
+        dashable = []
+        for action in subcommand_options()[command]:
+            values = option_values(action, paths)
+            if values is None:
+                continue
+            option = action.option_strings[0]
+            omittable = not action.required and (action.default is None or action.default is False)
+            fields[option] = st.none() | values if omittable else values
+            if action.nargs != 0 and action.dest not in ("out", "out_prefix"):
+                dashable.append(option)
+        dashed = st.sampled_from([None] * 3 * len(dashable) + dashable)
+        return st.tuples(st.fixed_dictionaries(fields), dashed).map(
+            lambda drawn: (command, {**{option: v for option, v in drawn[0].items() if v is not None},
+                                     **({drawn[1]: "--"} if drawn[1] else {})}))
+    return st.sampled_from(sorted(subcommand_options())).flatmap(command_draws)
+
+
+def to_argv(command, opts):
+    """``main``'s argv for a drawn case: every value joined to its option by ``=``."""
+    argv = [command]
+    for option, value in opts.items():
+        if value is True:
+            argv.append(option)
         else:
-            _, rows = read_table(Path(prefix + table))
-            ks = {int(row[column]) for row in rows}
-            assert ks and lowest <= min(ks) and max(ks) <= 8
+            argv += [f"{option}={v}" for v in (value if isinstance(value, list) else [value])]
+    return argv
 
 
-FLOAT_FLAGS = {
-    "--lr": lambda v: v > 0,
-    "--l1": lambda v: v >= 0,
-    "--noise-sigma": lambda v: v >= 0,
-    "--train-fraction": lambda v: 0 < v < 1,
-}
+@settings(max_examples=500)
+@given(data=st.data())
+def test_fuzzed_flags_exit_cleanly(fuzz_cube, fuzz_ranking, data):
+    """Any mix of any command's flags ends in a documented exit code and never raises.
 
-
-@settings(max_examples=120)
-@given(flag=st.sampled_from(sorted(FLOAT_FLAGS)),
-       value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
-@example(flag="--lr", value=1e300)
-def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
-    """A non-finite or out-of-range float flag exits 2 and writes nothing; others run.
-
-    A run that exits 0 writes only finite numbers; one that fails writes nothing.
+    A failure prints one ``error:`` line and writes nothing. A negative integer
+    for a flag the command reads (``--a`` and ``--t`` only under ``--variant
+    conv``), or a negative or non-finite float, exits 2. Exit 0 writes outputs
+    that parse and echo what the command records.
     """
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "o")
-        train = ["train", "--input", fuzz_cube, "--maxiter", "1", "--out-prefix", out]
-        argv = {
-            "--lr": train,
-            "--l1": train,
-            "--noise-sigma": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
-                              "--out", out + ".hsic"],
-            "--train-fraction": ["eval", "--input", fuzz_cube, "--include-random", "--k", "2", "--runs", "1",
-                                 "--out-prefix", out],
-        }[flag]
-        code, err = run_quietly([*argv, f"{flag}={value!r}"])
-        if not (math.isfinite(value) and FLOAT_FLAGS[flag](value)):
-            assert code == 2
-        elif flag in ("--lr", "--l1"):
-            # A huge but finite rate or coefficient may overflow training: exit 4.
-            assert code in (0, 4)
-        else:
-            assert code == 0
-        if code:
-            assert_clean_failure(code, err, tmp)
-        else:
-            assert_finite_outputs(tmp)
-
-
-# Above 300 the draws skip to 2**21 + 1: with 8 bands every count there is over
-# the 2**24-count histogram cap, while a legal count below it allocates up to 128 MiB.
-@settings(max_examples=100)
-@given(n_bins=st.integers(-2, 300) | st.integers(2**21 + 1, 2**70))
-def test_fuzzed_n_bins_exits_cleanly(fuzz_cube, n_bins):
-    """Any ``--n-bins`` exits 0 with finite outputs, or exits 2 and writes nothing."""
-    with tempfile.TemporaryDirectory() as tmp:
-        code, err = run_quietly(["metrics", "--input", fuzz_cube, "--n-bins", str(n_bins), "--k", "2:3",
-                                 "--out-prefix", os.path.join(tmp, "o")])
-        assert code in (0, 2)
-        if code:
-            assert_clean_failure(code, err, tmp)
-        else:
-            assert_finite_outputs(tmp)
-
-
-# Each flag draws half the time from its valid range (a third of the time for
-# the dimensions): with uniform draws almost every run stops at the first check
-# and the later ones go unexercised. A dimension past 2**27 alone exceeds the
-# synth cube cap, so no draw asks for a cube that would really be allocated.
-HUGE_DIMENSION = st.integers(2**27 + 1, 2**100)
-
-
-@settings(max_examples=150)
-@given(rows=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
-       cols=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
-       bands=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
-       informative=st.integers(1, 2) | st.integers(-1, 9),
-       classes=st.integers(-1, 5) | st.integers(-1, 2**70),
-       noise=st.floats(0, 1) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
-       seed=st.integers(-2, 2) | st.integers(-2, 2**64))
-def test_fuzzed_synth_flags_exit_cleanly(rows, cols, bands, informative, classes, noise, seed):
-    """Any mix of ``synth`` flags writes a readable cube with a strict-JSON sidecar, or fails and writes nothing."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "c.hsic")
-        code, err = run_quietly(["synth", f"--rows={rows}", f"--cols={cols}", f"--bands={bands}",
-                                 f"--informative={informative}", f"--classes={classes}",
-                                 f"--noise-sigma={noise!r}", f"--seed={seed}", "--out", out])
+        paths = {"input": fuzz_cube, "ranking": fuzz_ranking, "out": out + ".hsic", "out_prefix": out}
+        command, opts = data.draw(flag_draws(paths))
+        code, err = run_quietly(to_argv(command, opts))
+        event(f"{command} exit {code}")
         assert code in (0, 2, 3, 4)
+        unread = () if opts.get("--variant") == "conv" else ("--a", "--t")
+        numbers = [v for option, v in opts.items() if type(v) in (int, float) and option not in unread]
+        if any(v < 0 or not math.isfinite(v) for v in numbers):
+            assert code == 2, err
         if code:
             assert_clean_failure(code, err, tmp)
+            return
+        assert_finite_outputs(tmp)
+        if command == "synth":
+            cube = load_cube(out + ".hsic")
+            assert (cube.rows, cube.cols, cube.bands) == (opts["--rows"], opts["--cols"], opts["--bands"])
+        elif command == "train":
+            variant = opts["--variant"]
+            config = json.loads(Path(out + ".json").read_text())["config"]
+            want = (variant, opts.get("--k", 8), opts.get("--batch-size", 64 if variant == "fc" else 32))
+            assert (config["variant"], config["k"], config["batch_size"]) == want
         else:
-            cube = load_cube(out)
-            assert (cube.rows, cube.cols, cube.bands) == (rows, cols, bands)
-            with open(out + ".meta.json", encoding="utf-8") as fh:
-                json.load(fh, parse_constant=reject_constant)
+            table, column, lowest = {"metrics": ("_msd.csv", 0, 2), "eval": ("_runs.csv", 1, 1)}[command]
+            ks = {int(row[column]) for row in read_table(Path(out + table))[1]}
+            assert ks and lowest <= min(ks) and max(ks) <= 8
 
 
-@settings(max_examples=60)
-@given(variant=st.sampled_from(["fc", "conv"]), a=st.integers(1, 5), t=st.integers(1, 5),
-       k=st.integers(0, 9), batch=st.integers(1, 8), maxiter=st.integers(1, 3))
-def test_fuzzed_train_flags_exit_cleanly(fuzz_cube, variant, a, t, k, batch, maxiter):
-    """Any mix of ``train`` flags exits 0 with finite outputs for that variant, or fails and writes nothing."""
-    with tempfile.TemporaryDirectory() as tmp:
-        prefix = os.path.join(tmp, "o")
-        code, err = run_quietly(["train", "--input", fuzz_cube, "--variant", variant, "--a", str(a),
-                                 "--t", str(t), "--k", str(k), "--batch-size", str(batch),
-                                 "--maxiter", str(maxiter), "--out-prefix", prefix])
-        assert code in (0, 2, 3, 4)
-        if code:
-            assert_clean_failure(code, err, tmp)
-        else:
-            assert_finite_outputs(tmp)
-            config = json.loads(Path(prefix + ".json").read_text())["config"]
-            assert (config["variant"], config["k"], config["batch_size"]) == (variant, k, batch)
+def test_flag_fuzz_draws_every_option():
+    """Every option ``build_parser()`` declares is drawn, so a new flag is fuzzed the day it lands."""
+    declared = {(command, action.option_strings[0])
+                for command, actions in subcommand_options().items() for action in actions}
+    drawn = set()
+
+    @settings(max_examples=100)
+    @given(flag_draws({"input": "c.hsic", "ranking": "r.json", "out": "o.hsic", "out_prefix": "o"}))
+    def draw(case):
+        command, opts = case
+        drawn.update((command, option) for option in opts)
+
+    draw()
+    assert drawn == declared

@@ -303,6 +303,13 @@ class TestExtractPatches:
         assert batch.shape == (32, 7, 7, 100)
         assert batch.flags.c_contiguous and batch.flags.writeable
 
+    def test_stride_past_int64_places_one_window_per_axis(self):
+        cube = random_cube(np.random.default_rng(19), 6, 5, 3)
+        for a in (1, 3, 5):
+            huge = extract_patches(cube, a, 2**70)
+            assert huge.shape == (1, a, a, 3)
+            np.testing.assert_array_equal(np.asarray(huge), np.asarray(extract_patches(cube, a, 6)))
+
     def test_oversized_window_rejected(self):
         cube = random_cube(np.random.default_rng(16), 4, 4, 2)
         with pytest.raises(ConfigError):

@@ -330,6 +330,10 @@ class TestSweep:
         assert len(aggregated) == 3 * 2
         seeds = {r[2] for r in rows}
         assert seeds == {0, 1}
+        assert [tuple(agg[:2]) for agg in aggregated] == [(n, k) for n in ("a", "b", "random") for k in (1, 3)]
+        for name, k, *stats in aggregated:
+            scores = np.array([row[3:] for row in rows if row[:2] == (name, k)])
+            assert stats == [v for column in scores.T for v in (column.mean(), column.std())]
 
     def test_deterministic_under_fixed_base_seed(self):
         cube = labeled_cube(np.random.default_rng(13))
