@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from bandsel import cli, evaluate, training
@@ -135,6 +135,38 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr=nan"], ["train", "--lr=inf"], ["train", "--l1=nan"], ["train", "--l1=inf"],
+    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=nan"],
+    ["synth", "--rows", "6", "--cols", "5", "--bands", "8", "--informative", "3", "--noise-sigma=inf"],
+], ids=["lr-nan", "lr-inf", "l1-nan", "l1-inf", "noise-sigma-nan", "noise-sigma-inf"])
+def test_non_finite_float_flag_is_a_config_error(tmp_path, capsys, argv):
+    cube = make_cube(tmp_path, rows=6, cols=5, bands=8)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    target = ["--out", out + ".hsic"] if argv[0] == "synth" else ["--input", str(cube), "--out-prefix", out]
+    assert main([*argv, *target]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cube = make_cube(tmp_path)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
+                  "--out", out + ".hsic"],
+        "train": ["train", "--input", str(cube), "--maxiter", "1", "--out-prefix", out],
+        "eval": ["eval", "--input", str(cube), "--include-random", "--k", "2", "--runs", "1",
+                 "--out-prefix", out],
+    }[command]
+    assert main([*argv, "--seed=-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_diverging_training_prints_only_the_error_line(tmp_path):
@@ -660,6 +692,135 @@ def test_mutated_selection_exits_cleanly(fuzz_cube, raw):
             else:
                 for name in os.listdir(out_dir):
                     os.remove(os.path.join(out_dir, name))
+
+
+@settings(max_examples=150)
+@given(text=st.text(alphabet="0123456789:-+ ", max_size=12), command=st.sampled_from(["metrics", "eval"]))
+def test_fuzzed_k_range_exits_cleanly(fuzz_cube, text, command):
+    """Any ``--k`` string exits 0 with every k in range, or exits 2 and writes nothing."""
+    lowest, argv, table, column = {
+        "metrics": (2, ["metrics"], "_msd.csv", 0),
+        "eval": (1, ["eval", "--include-random", "--runs", "1"], "_runs.csv", 1),
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "o")
+        code, err = run_quietly([*argv, f"--k={text}", "--input", fuzz_cube, "--out-prefix", prefix])
+        assert code in (0, 2)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            _, rows = read_table(Path(prefix + table))
+            ks = {int(row[column]) for row in rows}
+            assert ks and lowest <= min(ks) and max(ks) <= 8
+
+
+FLOAT_FLAGS = {
+    "--lr": lambda v: v > 0,
+    "--l1": lambda v: v >= 0,
+    "--noise-sigma": lambda v: v >= 0,
+    "--train-fraction": lambda v: 0 < v < 1,
+}
+
+
+@settings(max_examples=120)
+@given(flag=st.sampled_from(sorted(FLOAT_FLAGS)),
+       value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(flag="--lr", value=1e300)
+def test_fuzzed_float_flag_exits_cleanly(fuzz_cube, flag, value):
+    """A non-finite or out-of-range float flag exits 2 and writes nothing; others run.
+
+    A run that exits 0 writes only finite numbers; one that fails writes nothing.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o")
+        train = ["train", "--input", fuzz_cube, "--maxiter", "1", "--out-prefix", out]
+        argv = {
+            "--lr": train,
+            "--l1": train,
+            "--noise-sigma": ["synth", "--rows", "4", "--cols", "4", "--bands", "5", "--informative", "2",
+                              "--out", out + ".hsic"],
+            "--train-fraction": ["eval", "--input", fuzz_cube, "--include-random", "--k", "2", "--runs", "1",
+                                 "--out-prefix", out],
+        }[flag]
+        code, err = run_quietly([*argv, f"{flag}={value!r}"])
+        if not (math.isfinite(value) and FLOAT_FLAGS[flag](value)):
+            assert code == 2
+        elif flag in ("--lr", "--l1"):
+            # A huge but finite rate or coefficient may overflow training: exit 4.
+            assert code in (0, 4)
+        else:
+            assert code == 0
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+
+
+# Above 300 the draws skip to 2**21 + 1: with 8 bands every count there is over
+# the 2**24-count histogram cap, while a legal count below it allocates up to 128 MiB.
+@settings(max_examples=100)
+@given(n_bins=st.integers(-2, 300) | st.integers(2**21 + 1, 2**70))
+def test_fuzzed_n_bins_exits_cleanly(fuzz_cube, n_bins):
+    """Any ``--n-bins`` exits 0 with finite outputs, or exits 2 and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_quietly(["metrics", "--input", fuzz_cube, "--n-bins", str(n_bins), "--k", "2:3",
+                                 "--out-prefix", os.path.join(tmp, "o")])
+        assert code in (0, 2)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+
+
+# Each flag draws half the time from its valid range (a third of the time for
+# the dimensions): with uniform draws almost every run stops at the first check
+# and the later ones go unexercised. A dimension past 2**27 alone exceeds the
+# synth cube cap, so no draw asks for a cube that would really be allocated.
+HUGE_DIMENSION = st.integers(2**27 + 1, 2**100)
+
+
+@settings(max_examples=150)
+@given(rows=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       cols=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       bands=st.integers(1, 8) | st.integers(-1, 8) | HUGE_DIMENSION,
+       informative=st.integers(1, 2) | st.integers(-1, 9),
+       classes=st.integers(-1, 5) | st.integers(-1, 2**70),
+       noise=st.floats(0, 1) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+       seed=st.integers(-2, 2) | st.integers(-2, 2**64))
+def test_fuzzed_synth_flags_exit_cleanly(rows, cols, bands, informative, classes, noise, seed):
+    """Any mix of ``synth`` flags writes a readable cube with a strict-JSON sidecar, or fails and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "c.hsic")
+        code, err = run_quietly(["synth", f"--rows={rows}", f"--cols={cols}", f"--bands={bands}",
+                                 f"--informative={informative}", f"--classes={classes}",
+                                 f"--noise-sigma={noise!r}", f"--seed={seed}", "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            cube = load_cube(out)
+            assert (cube.rows, cube.cols, cube.bands) == (rows, cols, bands)
+            with open(out + ".meta.json", encoding="utf-8") as fh:
+                json.load(fh, parse_constant=reject_constant)
+
+
+@settings(max_examples=60)
+@given(variant=st.sampled_from(["fc", "conv"]), a=st.integers(1, 5), t=st.integers(1, 5),
+       k=st.integers(0, 9), batch=st.integers(1, 8), maxiter=st.integers(1, 3))
+def test_fuzzed_train_flags_exit_cleanly(fuzz_cube, variant, a, t, k, batch, maxiter):
+    """Any mix of ``train`` flags exits 0 with finite outputs for that variant, or fails and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "o")
+        code, err = run_quietly(["train", "--input", fuzz_cube, "--variant", variant, "--a", str(a),
+                                 "--t", str(t), "--k", str(k), "--batch-size", str(batch),
+                                 "--maxiter", str(maxiter), "--out-prefix", prefix])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert_clean_failure(code, err, tmp)
+        else:
+            assert_finite_outputs(tmp)
+            config = json.loads(Path(prefix + ".json").read_text())["config"]
+            assert (config["variant"], config["k"], config["batch_size"]) == (variant, k, batch)
 
 
 @pytest.fixture(scope="module")
