@@ -240,9 +240,6 @@ class PatchSet:
         rows, cols = i[..., None] * self._stride + span, j[..., None] * self._stride + span
         return self._values[rows[..., :, None], cols[..., None, :]]
 
-    def __iter__(self):
-        return (self[s] for s in range(len(self)))
-
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a patch set is gathered from its cube; it cannot be viewed without a copy")

@@ -27,7 +27,3 @@ class FormatError(BandselError, ValueError):
 
 class NumericError(BandselError, ArithmeticError):
     """Non-finite value encountered during optimization."""
-
-
-class StateError(BandselError, RuntimeError):
-    """Operation invoked in the wrong order (e.g. backward before forward)."""

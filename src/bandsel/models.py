@@ -89,14 +89,16 @@ class _BandSelector:
 
         Writes every parameter gradient into ``grads`` and returns the loss.
         """
-        weights, x_hat = self.forward(batch)
+        bam_acts = self.bam.activations(batch)
+        weights = bam_acts[-1]
+        rec_acts = self.rec.activations(reweight(batch, weights))
         n = batch.shape[0]
-        loss = reconstruction_loss(batch, x_hat, weights, l1_coeff)
-        d_z = self.rec.backward((x_hat - batch) / n)
+        loss = reconstruction_loss(batch, rec_acts[-1], weights, l1_coeff)
+        d_z = self.rec.backward((rec_acts[-1] - batch) / n, rec_acts)
         # z = x * w: only the weight factor leads back to parameters; a
         # patch's weight gradient sums over its pixels.
         d_weights = (d_z * batch).reshape(n, -1, self.bands).sum(axis=1)
-        self.bam.backward(d_weights + l1_coeff * np.sign(weights) / n)
+        self.bam.backward(d_weights + l1_coeff * np.sign(weights) / n, bam_acts)
         return loss
 
     def loss(self, batch, l1_coeff):

@@ -6,12 +6,14 @@ patch set gathers each batch as such an array).
 Each layer with parameters names them in the class tuple ``param_fields``;
 every field ``f`` has a gradient partner ``grad_f`` of the same shape. Once a
 layer belongs to a model, both are views into the model's flat ``params`` and
-``grads`` vectors, so the layer must never rebind them. During forward a
-layer caches its input and its output, and nothing else: the output alone
-fixes the derivative of every activation (relu passes where the output is
-positive, sigmoid scales by ``out * (1 - out)``). ``backward`` consumes the
-cache and releases it, writes the parameter gradients in place into the
-``grad_*`` views and returns the gradient with respect to the layer input.
+``grads`` vectors, so the layer must never rebind them. A layer holds no
+activations: ``forward(x)`` only computes its output, and ``backward(grad, x,
+out)`` is handed the input and output of that forward. The output alone fixes
+the derivative of every activation (relu passes where the output is positive,
+sigmoid scales by ``out * (1 - out)``). ``backward`` writes the parameter
+gradients in place into the ``grad_*`` views and returns the gradient with
+respect to the layer input. ``LayerStack`` owns the activations a backward
+needs: ``activations`` records them and ``backward`` drops each once it is used.
 
 Spatial convolutions are stride 1 with zero-padded "same" geometry, so height
 and width pass through unchanged; the adjoint in the input is the same
@@ -27,9 +29,11 @@ chunk at a time.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from bandsel.errors import ConfigError, DimensionError, StateError
+from bandsel.errors import ConfigError, DimensionError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 CONV_CHUNK_ELEMENTS = 2**18
@@ -63,7 +67,7 @@ def _apply_activation(activation, pre, bias):
 
 
 def _activation_backward(activation, grad, out):
-    """Gradient through the element-wise nonlinearity, from the cached output alone."""
+    """Gradient through the element-wise nonlinearity, from the layer's output alone."""
     if activation == "relu":
         return grad * (out > 0)
     if activation == "sigmoid":
@@ -86,31 +90,28 @@ class DenseLayer:
         self.bias = glorot_uniform(rng, (out_dim,), in_dim, out_dim)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
-        self._x = None
-        self._out = None
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"dense layer expects input [batch, {self.in_dim}], got shape {tuple(x.shape)}"
             )
-        self._x = x
-        self._out = _apply_activation(self.activation, x @ self.weights, self.bias)
-        return self._out
+        return _apply_activation(self.activation, x @ self.weights, self.bias)
 
-    def backward(self, grad):
-        if self._x is None:
-            raise StateError("backward called without a preceding forward on dense layer")
-        d_pre = _activation_backward(self.activation, grad, self._out)
-        np.matmul(self._x.T, d_pre, out=self.grad_weights)
+    def backward(self, grad, x, out):
+        d_pre = _activation_backward(self.activation, grad, out)
+        np.matmul(x.T, d_pre, out=self.grad_weights)
         np.sum(d_pre, axis=0, out=self.grad_bias)
-        self._x = self._out = None
         return d_pre @ self.weights.T
 
 
 def chunk_samples(h, w, cin):
-    """Whole h x w x cin samples per forward chunk: CONV_CHUNK_ELEMENTS input elements, at least one."""
-    return max(1, CONV_CHUNK_ELEMENTS // (h * w * cin))
+    """Whole h x w x cin samples per forward chunk: CONV_CHUNK_ELEMENTS input elements, at least one.
+
+    A 1 x 1 sample is one GEMM row, and BLAS computes a one-row product by gemv, which
+    rounds differently from the rows of a larger product, so 1 x 1 samples are never split.
+    """
+    return max(1, CONV_CHUNK_ELEMENTS // (h * w * cin)) if h * w > 1 else sys.maxsize
 
 
 def _shifted_windows(x, k, buffer):
@@ -206,25 +207,18 @@ class Conv2DLayer:
         self.bias = glorot_uniform(rng, (out_channels,), fan_in, fan_out)
         self.grad_kernels = np.zeros_like(self.kernels)
         self.grad_bias = np.zeros_like(self.bias)
-        self._x = None
-        self._out = None
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise DimensionError(
                 f"conv layer expects input [batch, h, w, {self.in_channels}], got shape {tuple(x.shape)}"
             )
-        self._x = x
-        self._out = _apply_activation(self.activation, _correlate(x, self.kernels), self.bias)
-        return self._out
+        return _apply_activation(self.activation, _correlate(x, self.kernels), self.bias)
 
-    def backward(self, grad):
-        if self._x is None:
-            raise StateError("backward called without a preceding forward on conv layer")
-        d_pre = _activation_backward(self.activation, grad, self._out)
+    def backward(self, grad, x, out):
+        d_pre = _activation_backward(self.activation, grad, out)
         np.sum(d_pre, axis=(0, 1, 2), out=self.grad_bias)
-        _kernel_grad(self._x, d_pre, self.grad_kernels)
-        self._x = self._out = None
+        _kernel_grad(x, d_pre, self.grad_kernels)
         return _correlate(d_pre, self.kernels[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
@@ -233,24 +227,18 @@ class GlobalAveragePool:
 
     param_fields = ()
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] < 1 or x.shape[2] < 1:
             raise DimensionError(f"global pool expects [batch, h, w, c] with h, w >= 1, got {tuple(x.shape)}")
-        self._shape = x.shape
         return x.mean(axis=(1, 2))
 
-    def backward(self, grad):
-        if self._shape is None:
-            raise StateError("backward called without a preceding forward on global pool")
-        shape, self._shape = self._shape, None
-        return np.broadcast_to((grad / (shape[1] * shape[2]))[:, None, None, :], shape).copy()
+    def backward(self, grad, x, out):
+        _, h, w, _ = x.shape
+        return np.broadcast_to((grad / (h * w))[:, None, None, :], x.shape).copy()
 
 
 class LayerStack:
-    """Sequential container; backward runs layers in reverse and returns the input gradient."""
+    """Sequential container and the one owner of the activations a backward pass needs."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -260,7 +248,21 @@ class LayerStack:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad):
+    def activations(self, x):
+        """``[x, out_1, ..., out_n]``: the stack input and every layer's output, for ``backward``."""
+        acts = [x]
+        for layer in self.layers:
+            acts.append(layer.forward(acts[-1]))
+        return acts
+
+    def backward(self, grad, acts):
+        """Run the layers in reverse on ``activations``' list and return the input gradient.
+
+        The list is consumed: each output is dropped once its layer's backward returns,
+        and the stack input before the first layer's backward, so no activation outlives
+        its last use.
+        """
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            out = acts.pop()
+            grad = layer.backward(grad, acts[-1] if len(acts) > 1 else acts.pop(), out)
         return grad

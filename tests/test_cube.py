@@ -291,6 +291,7 @@ class TestExtractPatches:
         got = patches[index]
         oracle = np.stack([cube.values[i : i + a, j : j + a] for i, j in offsets])
         np.testing.assert_array_equal(got, np.asarray(patches)[index])
+        np.testing.assert_array_equal(np.stack(list(patches)), np.asarray(patches))
         np.testing.assert_array_equal(got, oracle[index])
         assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
         assert not np.shares_memory(got, cube.values)

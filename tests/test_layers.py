@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bandsel.errors import ConfigError, DimensionError, StateError
+from bandsel.errors import ConfigError, DimensionError
 from bandsel.nn import Conv2DLayer, DenseLayer, GlobalAveragePool, layers, sigmoid
 
 from oracles import (
@@ -131,7 +131,7 @@ class TestConvForward:
         xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
         out = layer.forward(x)
         np.testing.assert_array_equal(out, padded_correlate_reference(xc, layer.kernels) + layer.bias)
-        d_x = layer.backward(y)
+        d_x = layer.backward(y, x, out)
         np.testing.assert_array_equal(d_x, padded_correlate_reference(yc, layer.kernels[::-1, ::-1].transpose(0, 1, 3, 2)))
         np.testing.assert_array_equal(layer.grad_bias, y.sum(axis=(0, 1, 2)))
         expected = padded_kernel_grad_reference(xc, yc, layer.kernels.shape)
@@ -143,8 +143,7 @@ class TestConvForward:
     @given(conv_case())
     def test_kernel_gradient_matches_nested_loop_oracle(self, case):
         layer, x, y = case
-        layer.forward(x)
-        layer.backward(y)
+        layer.backward(y, x, layer.forward(x))
         expected = conv_kernel_grad_oracle(x, y, layer.kernels.shape[0])
         np.testing.assert_allclose(layer.grad_kernels, expected, rtol=1e-12, atol=1e-12)
 
@@ -155,8 +154,9 @@ class TestConvForward:
         # activation.
         layer, x, y = case
         layer.bias = np.zeros(layer.out_channels)
-        lhs = np.sum(layer.forward(x) * y)
-        rhs = np.sum(x * layer.backward(y))
+        out = layer.forward(x)
+        lhs = np.sum(out * y)
+        rhs = np.sum(x * layer.backward(y, x, out))
         scale = np.abs(x).sum() * np.abs(y).sum() * np.abs(layer.kernels).max()
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -195,11 +195,22 @@ class TestConvChunks:
         _, chunks = chunk_sizes(np.zeros((32, 7, 7, channels)), np.zeros((3, 3, channels, 64)))
         assert chunks == [32]
 
+    def test_one_by_one_samples_are_one_chunk(self):
+        # A 1 x 1 sample is one GEMM row, and a one-row product (gemv) rounds
+        # differently from the rows of the whole batch's product.
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((3, 1, 1, 2))
+        kernels = Conv2DLayer(2, 4, 3, rng=rng).kernels
+        out, chunks = chunk_sizes(x, kernels, budget=1)
+        assert chunks == [3]
+        np.testing.assert_array_equal(out, padded_correlate_reference(x, kernels))
+
     @given(case=conv_case(), budget=st.integers(1, 120))
     def test_any_budget_keeps_the_layers_bits(self, case, budget):
         layer, x, y = case
         with mock.patch.object(layers, "CONV_CHUNK_ELEMENTS", budget):
-            out, d_x = layer.forward(x), layer.backward(y)
+            out = layer.forward(x)
+            d_x = layer.backward(y, x, out)
         xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
         np.testing.assert_array_equal(out, padded_correlate_reference(xc, layer.kernels) + layer.bias)
         np.testing.assert_array_equal(d_x, padded_correlate_reference(yc, layer.kernels[::-1, ::-1].transpose(0, 1, 3, 2)))
@@ -224,14 +235,6 @@ class TestGlobalPool:
 
 
 class TestStackAndState:
-    def test_backward_before_forward_raises(self):
-        layer = DenseLayer(3, 3, rng=np.random.default_rng(0))
-        with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 3)))
-        pool = GlobalAveragePool()
-        with pytest.raises(StateError):
-            pool.backward(np.zeros((1, 2)))
-
     def test_sigmoid_is_stable_at_extremes(self):
         out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 0.5 and out[2] == 1.0

@@ -5,9 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bandsel.errors import DimensionError, StateError
+from bandsel.errors import DimensionError
 from bandsel.models import BandSelectorConv, BandSelectorFC, reconstruction_loss, reweight
 from bandsel.nn import layers
+from bandsel.training import TrainConfig, _full_averaged_weights, train
 
 
 def zero_out(stack):
@@ -199,16 +200,22 @@ def test_each_selector_rejects_the_other_variants_batch():
             conv.backprop(np.zeros(shape), 1e-2)
 
 
-@SMALL_SELECTORS
-def test_backprop_releases_every_forward_cache(make):
-    # Between training steps a model holds no activation; a backward needs a
-    # fresh forward.
-    model, batch = make(np.random.default_rng(0))
-    model.backprop(batch, 1e-2)
-    for layer in model.bam.layers + model.rec.layers:
-        assert all(getattr(layer, name, None) is None for name in ("_x", "_out", "_shape"))
-        with pytest.raises(StateError):
-            layer.backward(np.zeros(1))
+@pytest.mark.parametrize("shape, model_kwargs", [
+    ((5, 6), {}),
+    ((3, 5, 5, 4), {"bam_conv_channels": 3, "bam_hidden": 5, "rec_channels": (4, 3, 3, 4)}),
+], ids=["fc", "conv"])
+def test_no_pass_leaves_an_activation_in_a_layer(shape, model_kwargs):
+    # A layer's arrays are its parameters and gradients, views of the model's
+    # flat buffers: training steps and inference passes leave nothing behind.
+    samples = np.random.default_rng(0).random(shape)
+    model, _ = train(samples, TrainConfig(max_epochs=1), model_kwargs=model_kwargs)
+    for run in (None, model.forward, model.band_weights, lambda s: _full_averaged_weights(model, s)):
+        if run is not None:
+            run(samples)
+        for layer in model.bam.layers + model.rec.layers:
+            for value in vars(layer).values():
+                if isinstance(value, np.ndarray):
+                    assert np.shares_memory(value, model.params) or np.shares_memory(value, model.grads)
 
 
 @pytest.mark.parametrize("a", [7, 15])
